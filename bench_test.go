@@ -50,9 +50,7 @@ func mustBuild(b *testing.B, sys *sanctorum.System, l enclaves.Layout, prog *asm
 }
 
 // tryCall issues one monitor call through the unified-ABI client
-// without the client's retry loop — the single-shot §V-A transaction
-// the old direct-method surface exposed (its compat shims are no
-// longer linked outside their own tests).
+// without the client's retry loop — the single-shot §V-A transaction.
 func tryCall(sys *sanctorum.System, c api.Call, args ...uint64) api.Error {
 	return sys.OS.SM.Try(api.OSRequest(c, args...)).Status
 }

@@ -6,12 +6,14 @@ package sanctorum_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"sanctorum"
 	"sanctorum/internal/enclaves"
 	ios "sanctorum/internal/os"
 	"sanctorum/internal/sm/api"
+	"sanctorum/internal/telemetry"
 )
 
 // sg builds a scatter-gather descriptor message as a byte slice.
@@ -21,13 +23,20 @@ func sg(descs ...[2]uint64) []byte {
 }
 
 // bulkService builds a pool from the given bulk-server program and a
-// gateway with a bulkPages-page granted buffer per worker.
+// gateway with a bulkPages-page granted buffer per worker. The pool has
+// one clone region per worker.
 func bulkService(t testing.TB, sys *sanctorum.System, prog string, nWorkers, bulkPages int) (*ios.Pool, *ios.Gateway) {
+	return bulkServiceClones(t, sys, prog, nWorkers, nWorkers, bulkPages)
+}
+
+// bulkServiceClones is bulkService over a pool of clones clone regions,
+// clones ≥ nWorkers, so the gateway can grow with AddWorker.
+func bulkServiceClones(t testing.TB, sys *sanctorum.System, prog string, nWorkers, clones, bulkPages int) (*ios.Pool, *ios.Gateway) {
 	t.Helper()
 	l := enclaves.DefaultLayout()
 	regions := sys.OS.FreeRegions()
-	if len(regions) < 2+nWorkers {
-		t.Fatalf("need %d free regions, have %d", 2+nWorkers, len(regions))
+	if len(regions) < 2+clones {
+		t.Fatalf("need %d free regions, have %d", 2+clones, len(regions))
 	}
 	sharedPA, err := sys.SetupShared(l.SharedVA)
 	if err != nil {
@@ -41,14 +50,14 @@ func bulkService(t testing.TB, sys *sanctorum.System, prog string, nWorkers, bul
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := sys.NewPool(spec, regions[1:1+nWorkers], 1)
+	pool, err := sys.NewPool(spec, regions[1:1+clones], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gw, err := sys.NewGateway(pool, sanctorum.GatewayConfig{
 		Workers:    nWorkers,
 		BulkPages:  bulkPages,
-		BulkRegion: regions[1+nWorkers],
+		BulkRegion: regions[1+clones],
 		Sched:      sanctorum.SchedConfig{Mode: sanctorum.Deterministic},
 	})
 	if err != nil {
@@ -238,5 +247,135 @@ func TestBulkKVService(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestBulkRequestTrace arms a request trace before ProcessBulk and
+// requires the same dispatch → send → execute → recv → response span
+// chain a keyed request gets, since bulk requests ride the gateway's one
+// serving loop. The arming is consumed by that call: the Process call
+// after it must emit no spans.
+func TestBulkRequestTrace(t *testing.T) {
+	sys, err := sanctorum.NewSystem(sanctorum.Options{Kind: sanctorum.Sanctum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, gw := bulkService(t, sys, "echo", 2, 4)
+	reqs := make([][]byte, 20)
+	for i := range reqs {
+		reqs[i] = sg([2]uint64{uint64(i%4) * 4096, 4096})
+	}
+	tr := telemetry.NewTrace(sys.Machine.CycleNow)
+	root := tr.Begin(-1, "test", "bulk")
+	gw.TraceRequest(tr, root, 13)
+	if _, err := gw.ProcessBulk(1, reqs); err != nil {
+		t.Fatal(err)
+	}
+	tr.End(root)
+
+	spans := tr.Spans()
+	want := []struct{ layer, name string }{
+		{"test", "bulk"},
+		{"gateway", "dispatch worker=1"},
+		{"ring", "send n=8"},
+		{"worker", "execute"},
+		{"ring", "recv"},
+		{"gateway", "response"},
+	}
+	if len(spans) != len(want) {
+		t.Fatalf("trace has %d spans, want %d:\n%s", len(spans), len(want), tr.Render())
+	}
+	dispatch := spans[1].ID
+	for i, s := range spans {
+		if s.Layer != want[i].layer || s.Name != want[i].name {
+			t.Fatalf("span %d is %s/%s, want %s/%s:\n%s", i, s.Layer, s.Name,
+				want[i].layer, want[i].name, tr.Render())
+		}
+		if s.End < s.Begin {
+			t.Fatalf("span %d (%s/%s) never closed", i, s.Layer, s.Name)
+		}
+		parent := dispatch
+		switch i {
+		case 0:
+			parent = -1
+		case 1:
+			parent = root
+		}
+		if s.Parent != parent {
+			t.Fatalf("span %d (%s/%s) has parent %d, want %d:\n%s", i, s.Layer, s.Name,
+				s.Parent, parent, tr.Render())
+		}
+	}
+	if exec := spans[3]; exec.End <= exec.Begin {
+		t.Fatalf("worker execute span retired no cycles: [%d, %d]", exec.Begin, exec.End)
+	}
+
+	if _, err := gw.Process(reqs[:4]); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tr.Spans()); n != len(want) {
+		t.Fatalf("Process after the traced ProcessBulk added %d spans:\n%s", n-len(want), tr.Render())
+	}
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAddWorkerFailureUnwinds grows a bulk gateway past what its bulk
+// region can back: the third worker's buffer does not fit, so
+// AddWorker must fail and leave the serving set, the pool and the
+// monitor's state exactly as they were — and the gateway still serving.
+func TestAddWorkerFailureUnwinds(t *testing.T) {
+	sys, err := sanctorum.NewSystem(sanctorum.Options{Kind: sanctorum.Sanctum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two 16-page buffers fill the 32-page bulk region; the pool could
+	// back a third worker.
+	pool, gw := bulkServiceClones(t, sys, "echo", 2, 3, 16)
+	// Cycle the spare clone region through the pool once, so it is in
+	// the state a released worker leaves it in before the snapshot.
+	w, err := pool.Acquire(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Release(w); err != nil {
+		t.Fatal(err)
+	}
+	before := sys.Monitor.CaptureState()
+	free := pool.FreeWorkers()
+
+	for attempt := 0; attempt < 2; attempt++ {
+		err := gw.AddWorker()
+		if err == nil || !strings.Contains(err.Error(), "too small for worker 2") {
+			t.Fatalf("attempt %d: AddWorker = %v, want bulk region too small for worker 2", attempt, err)
+		}
+		if n := gw.NumWorkers(); n != 2 {
+			t.Fatalf("attempt %d: %d workers after a failed AddWorker, want 2", attempt, n)
+		}
+		if grant, base, size := gw.BulkBuffer(2); grant != 0 || base != 0 || size != 0 {
+			t.Fatalf("attempt %d: BulkBuffer(2) = %#x %#x %d after a failed AddWorker", attempt, grant, base, size)
+		}
+		if got := pool.FreeWorkers(); got != free {
+			t.Fatalf("attempt %d: pool has %d free workers, want %d", attempt, got, free)
+		}
+		if after := sys.Monitor.CaptureState(); !after.Equal(before) {
+			t.Fatalf("attempt %d: monitor state changed: %s", attempt, before.Diff(after))
+		}
+	}
+
+	for worker := 0; worker < 2; worker++ {
+		if _, err := gw.ProcessBulk(worker, [][]byte{sg([2]uint64{0, 4096})}); err != nil {
+			t.Fatalf("worker %d after the failed AddWorker: %v", worker, err)
+		}
+	}
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

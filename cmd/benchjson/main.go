@@ -77,55 +77,13 @@ var suites = []struct {
 	{"./internal/sm", "^BenchmarkDispatch$"},
 }
 
-// ratioChecks are machine-independent targets enforced on the new run:
-// numerator / denominator must be at least min. A check whose
-// benchmarks are both absent is skipped — stress soak files (E17)
-// carry only the StressGateway rows — but exactly one half missing is
-// still a failure (a renamed or dropped benchmark, not a different
-// file kind).
-var ratioChecks = []struct {
-	name, num, den string
-	min            float64
-}{
-	{"ring batching amortization (E16)",
-		"BenchmarkServeThroughput/per-message", "BenchmarkServeThroughput/batched", 5},
-	{"snapshot clone vs full build (E15)",
-		"BenchmarkCloneColdStart/full-build", "BenchmarkCloneColdStart/clone", 5},
-	// The block-compilation tier (E18). Two families of floors, both
-	// within-run ratios (one process, so host-speed drift cancels to
-	// first order — but the rows still run ~tens of seconds apart, so
-	// the shared-host window drift of up to ±30% does NOT cancel; the
-	// floors below are the measured steady ratios with that margin
-	// taken off, i.e. regression tripwires, not targets):
-	//
-	//   fast-noblock/fast — the block tier's own contribution on top of
-	//   the per-instruction fast path. Interleaved A/B measurement puts
-	//   the true ratio at ~2.0x per kind; floor 1.4.
-	//
-	//   reference/fast — the whole fast-path stack. Measured 4-6x
-	//   across windows; floor 3.
-	{"block tier over per-instruction fast path, none (E18)",
-		"BenchmarkThroughput/fast-noblock/none", "BenchmarkThroughput/fast/none", 1.4},
-	{"block tier over per-instruction fast path, sanctum (E18)",
-		"BenchmarkThroughput/fast-noblock/sanctum", "BenchmarkThroughput/fast/sanctum", 1.4},
-	{"block tier over per-instruction fast path, keystone (E18)",
-		"BenchmarkThroughput/fast-noblock/keystone", "BenchmarkThroughput/fast/keystone", 1.4},
-	{"full fast path vs reference, none (E18)",
-		"BenchmarkThroughput/reference/none", "BenchmarkThroughput/fast/none", 3},
-	{"full fast path vs reference, sanctum (E18)",
-		"BenchmarkThroughput/reference/sanctum", "BenchmarkThroughput/fast/sanctum", 3},
-	{"full fast path vs reference, keystone (E18)",
-		"BenchmarkThroughput/reference/keystone", "BenchmarkThroughput/fast/keystone", 3},
-}
-
 // telemetryOverheadFloor is the minimum off-ns/req / on-ns/req ratio
 // for the BenchmarkTelemetryOverhead rows (DESIGN.md §13): the
 // telemetry-off half may beat the telemetry-on half by at most ~5%.
 // Both halves come from ONE benchmark row — alternating waves inside
 // the same process — because separate benchmark rows drift apart by
-// more than the 5% budget on a shared host; that is why this check
-// reads the row's metrics rather than living in the static
-// ratioChecks table above.
+// more than the 5% budget on a shared host; that is why this gate
+// reads the row's metrics.
 const telemetryOverheadFloor = 0.95
 
 // bulkSpeedupFloor is the minimum bulk-MB/s / chunked-MB/s ratio for
@@ -159,18 +117,121 @@ func fleetScalingFloor(cpus float64) float64 {
 	}
 }
 
-// maxRatioChecks are ceilings: numerator / denominator must stay at
-// most max. The endurance soak's tail-latency targets (E17) live here;
-// the same both-absent-skip rule applies, so ordinary benchmark files
-// without StressGateway rows are unaffected.
-var maxRatioChecks = []struct {
-	name, num, den string
-	max            float64
-}{
-	{"endurance p99 tail (E17)",
-		"StressGateway/p99", "StressGateway/p50", 8},
-	{"endurance p999 tail (E17)",
-		"StressGateway/p999", "StressGateway/p50", 40},
+// A gate is one machine-independent check enforced on the new run: the
+// ratio num / den must stay at or above its bound (or, for a ceiling,
+// at or below it). The skip rule depends on where the operands live:
+//
+//   - Two-row gates (num and den in different benchmark rows) are
+//     skipped when both rows are absent — stress soak files (E17)
+//     carry only the StressGateway rows, ordinary files none of them —
+//     but exactly one half missing is still a failure (a renamed or
+//     dropped benchmark, not a different file kind).
+//   - One-row gates read both halves from one interleaved row's
+//     metrics (E20, E21). A missing row is a failure only in a file
+//     that has the serving benchmarks at all.
+type gate struct {
+	name     string
+	num, den operand
+	bound    float64
+	limit    limit
+	// perCPU, when set, replaces bound with a floor picked from the den
+	// row's "cpus" metric (E19).
+	perCPU func(cpus float64) float64
+	// metrics names a one-row gate's metric pair in its failure message.
+	metrics string
+}
+
+// operand is one number in a run: a benchmark row's ns/op, or one of
+// the row's custom metrics.
+type operand struct{ row, metric string }
+
+func ns(row string) operand { return operand{row: row} }
+
+func (o operand) of(r Result) float64 {
+	if o.metric == "" {
+		return r.NsPerOp
+	}
+	return r.Metrics[o.metric]
+}
+
+// limit is which way a gate's bound points and how its verdict line
+// and failure message print it.
+type limit struct {
+	ceiling bool
+	line    string // verdict-line bound
+	fail    string // failure text after the gate name
+}
+
+var (
+	target  = limit{false, "(target ≥%g×)", "ratio %.2f× below the %.0f× target"}
+	floor   = limit{false, "(target ≥%g×)", "ratio %.2f× below the %g× floor"}
+	ceiling = limit{true, "(ceiling ≤%.0f×)", "ratio %.2f× above the %.0f× ceiling"}
+)
+
+// servingRow marks a file that carries the serving benchmarks, in which
+// the one-row gates' rows must be present.
+const servingRow = "BenchmarkGatewayServe/telemetry"
+
+// gates is every check evaluate applies, in verdict-line order.
+var gates = []gate{
+	{name: "ring batching amortization (E16)",
+		num: ns("BenchmarkServeThroughput/per-message"), den: ns("BenchmarkServeThroughput/batched"),
+		bound: 5, limit: target},
+	{name: "snapshot clone vs full build (E15)",
+		num: ns("BenchmarkCloneColdStart/full-build"), den: ns("BenchmarkCloneColdStart/clone"),
+		bound: 5, limit: target},
+	// The block-compilation tier (E18). Two families of floors, both
+	// within-run ratios (one process, so host-speed drift cancels to
+	// first order — but the rows still run ~tens of seconds apart, so
+	// the shared-host window drift of up to ±30% does NOT cancel; the
+	// floors below are the measured steady ratios with that margin
+	// taken off, i.e. regression tripwires, not targets):
+	//
+	//   fast-noblock/fast — the block tier's own contribution on top of
+	//   the per-instruction fast path. Interleaved A/B measurement puts
+	//   the true ratio at ~2.0x per kind; floor 1.4.
+	//
+	//   reference/fast — the whole fast-path stack. Measured 4-6x
+	//   across windows; floor 3.
+	{name: "block tier over per-instruction fast path, none (E18)",
+		num: ns("BenchmarkThroughput/fast-noblock/none"), den: ns("BenchmarkThroughput/fast/none"),
+		bound: 1.4, limit: target},
+	{name: "block tier over per-instruction fast path, sanctum (E18)",
+		num: ns("BenchmarkThroughput/fast-noblock/sanctum"), den: ns("BenchmarkThroughput/fast/sanctum"),
+		bound: 1.4, limit: target},
+	{name: "block tier over per-instruction fast path, keystone (E18)",
+		num: ns("BenchmarkThroughput/fast-noblock/keystone"), den: ns("BenchmarkThroughput/fast/keystone"),
+		bound: 1.4, limit: target},
+	{name: "full fast path vs reference, none (E18)",
+		num: ns("BenchmarkThroughput/reference/none"), den: ns("BenchmarkThroughput/fast/none"),
+		bound: 3, limit: target},
+	{name: "full fast path vs reference, sanctum (E18)",
+		num: ns("BenchmarkThroughput/reference/sanctum"), den: ns("BenchmarkThroughput/fast/sanctum"),
+		bound: 3, limit: target},
+	{name: "full fast path vs reference, keystone (E18)",
+		num: ns("BenchmarkThroughput/reference/keystone"), den: ns("BenchmarkThroughput/fast/keystone"),
+		bound: 3, limit: target},
+	// The fleet-scaling floor (E19) depends on the runner's parallelism:
+	// it is picked per run from the benchmark's own "cpus" metric.
+	{name: "fleet aggregate scaling (E19)", num: ns("BenchmarkFleetServe/shards=1"),
+		den: ns("BenchmarkFleetServe/shards=4"), limit: floor, perCPU: fleetScalingFloor},
+	{name: "gateway telemetry overhead ≤5% (E20)",
+		num:   operand{"BenchmarkTelemetryOverhead/gateway", "off-ns/req"},
+		den:   operand{"BenchmarkTelemetryOverhead/gateway", "on-ns/req"},
+		bound: telemetryOverheadFloor, limit: floor, metrics: "on/off"},
+	{name: "fleet telemetry overhead ≤5% (E20)",
+		num:   operand{"BenchmarkTelemetryOverhead/fleet", "off-ns/req"},
+		den:   operand{"BenchmarkTelemetryOverhead/fleet", "on-ns/req"},
+		bound: telemetryOverheadFloor, limit: floor, metrics: "on/off"},
+	{name: "bulk zero-copy vs chunked messages (E21)",
+		num:   operand{"BenchmarkBulkThroughput", "bulk-MB/s"},
+		den:   operand{"BenchmarkBulkThroughput", "chunked-MB/s"},
+		bound: bulkSpeedupFloor, limit: floor, metrics: "MB/s"},
+	// The endurance soak's tail-latency ceilings (E17).
+	{name: "endurance p99 tail (E17)",
+		num: ns("StressGateway/p99"), den: ns("StressGateway/p50"), bound: 8, limit: ceiling},
+	{name: "endurance p999 tail (E17)",
+		num: ns("StressGateway/p999"), den: ns("StressGateway/p50"), bound: 40, limit: ceiling},
 }
 
 func main() {
@@ -388,129 +449,47 @@ func evaluate(base, cur File, threshold float64) (failures, suspects []string) {
 		fmt.Printf("  %-48s %12.1f → %10.1f ns/op  %+6.1f%%  %s\n",
 			name, b.NsPerOp, norm, reg*100, verdict)
 	}
-	for _, rc := range ratioChecks {
-		num, okN := cur.Benchmarks[rc.num]
-		den, okD := cur.Benchmarks[rc.den]
+	for _, g := range gates {
+		num, okN := cur.Benchmarks[g.num.row]
+		den, okD := cur.Benchmarks[g.den.row]
+		oneRow := g.num.row == g.den.row
 		if !okN && !okD {
-			continue // different file kind (e.g. a stress soak)
-		}
-		if !okN || !okD || den.NsPerOp <= 0 {
-			failures = append(failures, fmt.Sprintf("%s: benchmarks missing", rc.name))
-			continue
-		}
-		ratio := num.NsPerOp / den.NsPerOp
-		verdict := "ok"
-		if ratio < rc.min {
-			verdict = "BELOW TARGET"
-			suspects = append(suspects, rc.num, rc.den)
-			failures = append(failures, fmt.Sprintf("%s: ratio %.2f× below the %.0f× target",
-				rc.name, ratio, rc.min))
-		}
-		fmt.Printf("  %-48s %38.2f×  (target ≥%g×)  %s\n", rc.name, ratio, rc.min, verdict)
-	}
-	// The fleet-scaling check (E19) is a ratio floor whose target
-	// depends on the runner's parallelism, so it cannot live in the
-	// static ratioChecks table: the floor is picked per run from the
-	// benchmark's own "cpus" metric. Both-absent skip as usual.
-	{
-		num, okN := cur.Benchmarks["BenchmarkFleetServe/shards=1"]
-		den, okD := cur.Benchmarks["BenchmarkFleetServe/shards=4"]
-		switch {
-		case !okN && !okD:
-			// different file kind
-		case !okN || !okD || den.NsPerOp <= 0:
-			failures = append(failures, "fleet aggregate scaling (E19): benchmarks missing")
-		default:
-			min := fleetScalingFloor(den.Metrics["cpus"])
-			ratio := num.NsPerOp / den.NsPerOp
-			name := fmt.Sprintf("fleet aggregate scaling (E19, %g cpus)", den.Metrics["cpus"])
-			verdict := "ok"
-			if ratio < min {
-				verdict = "BELOW TARGET"
-				suspects = append(suspects, "BenchmarkFleetServe/shards=1", "BenchmarkFleetServe/shards=4")
-				failures = append(failures, fmt.Sprintf("%s: ratio %.2f× below the %g× floor",
-					name, ratio, min))
-			}
-			fmt.Printf("  %-48s %38.2f×  (target ≥%g×)  %s\n", name, ratio, min, verdict)
-		}
-	}
-	// The telemetry-overhead floors (E20) read both halves of the
-	// comparison from one interleaved row's metrics, so they also
-	// cannot live in the static ratioChecks table. A missing row is a
-	// failure only in a file that has the serving benchmarks at all —
-	// stress soak files skip, same as the fleet-scaling check.
-	for _, tc := range []struct{ name, row string }{
-		{"gateway telemetry overhead ≤5% (E20)", "BenchmarkTelemetryOverhead/gateway"},
-		{"fleet telemetry overhead ≤5% (E20)", "BenchmarkTelemetryOverhead/fleet"},
-	} {
-		row, ok := cur.Benchmarks[tc.row]
-		if !ok {
-			if _, serving := cur.Benchmarks["BenchmarkGatewayServe/telemetry"]; serving {
-				failures = append(failures, tc.name+": benchmark missing")
+			if _, serving := cur.Benchmarks[servingRow]; oneRow && serving {
+				failures = append(failures, g.name+": benchmark missing")
 			}
 			continue // different file kind (e.g. a stress soak)
 		}
-		on, off := row.Metrics["on-ns/req"], row.Metrics["off-ns/req"]
-		if on <= 0 || off <= 0 {
-			failures = append(failures, tc.name+": on/off metrics missing")
-			continue
-		}
-		ratio := off / on
-		verdict := "ok"
-		if ratio < telemetryOverheadFloor {
-			verdict = "BELOW TARGET"
-			suspects = append(suspects, tc.row)
-			failures = append(failures, fmt.Sprintf("%s: ratio %.2f× below the %g× floor",
-				tc.name, ratio, telemetryOverheadFloor))
-		}
-		fmt.Printf("  %-48s %38.2f×  (target ≥%g×)  %s\n", tc.name, ratio, telemetryOverheadFloor, verdict)
-	}
-	// The bulk-plane speedup (E21) also reads both halves from one
-	// interleaved row's metrics. Same skip rule: a missing row only
-	// fails files that carry the serving benchmarks at all.
-	{
-		const name = "bulk zero-copy vs chunked messages (E21)"
-		row, ok := cur.Benchmarks["BenchmarkBulkThroughput"]
-		if !ok {
-			if _, serving := cur.Benchmarks["BenchmarkGatewayServe/telemetry"]; serving {
-				failures = append(failures, name+": benchmark missing")
-			}
-		} else {
-			bulk, chunked := row.Metrics["bulk-MB/s"], row.Metrics["chunked-MB/s"]
-			if bulk <= 0 || chunked <= 0 {
-				failures = append(failures, name+": MB/s metrics missing")
+		n, d := g.num.of(num), g.den.of(den)
+		if !okN || !okD || d <= 0 || (oneRow && n <= 0) {
+			if oneRow {
+				failures = append(failures, fmt.Sprintf("%s: %s metrics missing", g.name, g.metrics))
 			} else {
-				ratio := bulk / chunked
-				verdict := "ok"
-				if ratio < bulkSpeedupFloor {
-					verdict = "BELOW TARGET"
-					suspects = append(suspects, "BenchmarkBulkThroughput")
-					failures = append(failures, fmt.Sprintf("%s: ratio %.2f× below the %g× floor",
-						name, ratio, float64(bulkSpeedupFloor)))
-				}
-				fmt.Printf("  %-48s %38.2f×  (target ≥%g×)  %s\n", name, ratio, float64(bulkSpeedupFloor), verdict)
+				failures = append(failures, g.name+": benchmarks missing")
 			}
-		}
-	}
-	for _, rc := range maxRatioChecks {
-		num, okN := cur.Benchmarks[rc.num]
-		den, okD := cur.Benchmarks[rc.den]
-		if !okN && !okD {
-			continue // ordinary benchmark file, no stress rows
-		}
-		if !okN || !okD || den.NsPerOp <= 0 {
-			failures = append(failures, fmt.Sprintf("%s: benchmarks missing", rc.name))
 			continue
 		}
-		ratio := num.NsPerOp / den.NsPerOp
-		verdict := "ok"
-		if ratio > rc.max {
-			verdict = "ABOVE CEILING"
-			suspects = append(suspects, rc.num, rc.den)
-			failures = append(failures, fmt.Sprintf("%s: ratio %.2f× above the %.0f× ceiling",
-				rc.name, ratio, rc.max))
+		name, bound := g.name, g.bound
+		if g.perCPU != nil {
+			cpus := den.Metrics["cpus"]
+			bound = g.perCPU(cpus)
+			name = fmt.Sprintf("%s, %g cpus)", strings.TrimSuffix(name, ")"), cpus)
 		}
-		fmt.Printf("  %-48s %38.2f×  (ceiling ≤%.0f×)  %s\n", rc.name, ratio, rc.max, verdict)
+		ratio := n / d
+		verdict := "ok"
+		if g.limit.ceiling && ratio > bound {
+			verdict = "ABOVE CEILING"
+		} else if !g.limit.ceiling && ratio < bound {
+			verdict = "BELOW TARGET"
+		}
+		if verdict != "ok" {
+			if oneRow {
+				suspects = append(suspects, g.num.row)
+			} else {
+				suspects = append(suspects, g.num.row, g.den.row)
+			}
+			failures = append(failures, fmt.Sprintf("%s: "+g.limit.fail, name, ratio, bound))
+		}
+		fmt.Printf("  %-48s %38.2f×  "+g.limit.line+"  %s\n", name, ratio, bound, verdict)
 	}
 	return failures, suspects
 }

@@ -60,36 +60,25 @@ const BulkKVSlots = 8
 // evrange, clear of the code/data/stack/array pages and SpecN stacks).
 func BulkKVSlotsVA(l Layout) uint64 { return l.EvBase + 0x20000 }
 
-// bulkServer emits the shared bulk serve loop: ring discovery exactly
-// as ringServer, then grant discovery, the setup-message handshake,
-// bulk_map, and the park/recv/transform/send loop over
-// bulk_recv/bulk_send. transform sees the ringServer contract (rTmp2 =
-// record base, rTmp3 = rData+64·idx) plus the bulk window base at
-// [rData+dBulkVA]; it may clobber rTmp4..rTmp6 and a3..a6.
-func bulkServer(l Layout, transform func(p *asm.Program)) *asm.Program {
-	p := asm.New()
-	p.Branch(isa.OpBEQ, isa.RegA0, isa.RegZero, "fresh")
-	ecall(p, api.CallResumeAEX) // does not return on success
-	p.Label("fresh")
-	p.Li64(rData, l.DataVA)
-	p.Li(rStride, int32(mem.PageSize))
-	// Discover this worker's rings: the consumer entry is the request
-	// ring (rAcc), the producer entry the response ring (rShared).
-	p.Li(isa.RegA0, int32(api.FieldEnclaveRings))
-	p.I(isa.OpADDI, isa.RegA1, rData, 0, dRingDir)
-	p.Li(isa.RegA2, 32)
-	ecall(p, api.CallGetField)
-	p.Branch(isa.OpBNE, isa.RegA0, isa.RegZero, "die")
-	p.I(isa.OpLD, rAcc, rData, 0, dRingDir)       // entry 0 id
-	p.I(isa.OpLD, rShared, rData, 0, dRingDir+16) // entry 1 id
-	p.I(isa.OpLD, rTmp4, rData, 0, dRingDir+8)    // entry 0 role
-	p.Branch(isa.OpBEQ, rTmp4, isa.RegZero, "grant")
-	p.I(isa.OpADD, rTmp4, rAcc, isa.RegZero, 0) // swap: rAcc=req, rShared=resp
-	p.I(isa.OpADD, rAcc, rShared, isa.RegZero, 0)
-	p.I(isa.OpADD, rShared, rTmp4, isa.RegZero, 0)
+// bulkHooks make the serve skeleton a bulk server: the page stride is
+// loaded up front, boot discovers the grant, takes the setup message
+// and bulk_maps the window, and the batch is drained with bulk_recv on
+// this worker's grant (releasing each descriptor's in-flight pins).
+// Transforms see the skeleton's contract plus the bulk window base at
+// [rData+dBulkVA]; they may also clobber rTmp5 and rTmp6.
+var bulkHooks = serverHooks{
+	setup: func(p *asm.Program) { p.Li(rStride, int32(mem.PageSize)) },
+	boot:  bulkBoot,
+	recv: func(p *asm.Program) {
+		p.I(isa.OpLD, isa.RegA3, rData, 0, dBulkDir)
+		ecall(p, api.CallBulkRecv)
+	},
+}
 
+// bulkBoot emits the bulk worker's boot steps between ring discovery
+// and the serve loop.
+func bulkBoot(p *asm.Program) {
 	// Discover the grant: id ‖ role ‖ byte size.
-	p.Label("grant")
 	p.Li(isa.RegA0, int32(api.FieldEnclaveGrants))
 	p.I(isa.OpADDI, isa.RegA1, rData, 0, dBulkDir)
 	p.Li(isa.RegA2, 24)
@@ -123,76 +112,6 @@ func bulkServer(l Layout, transform func(p *asm.Program)) *asm.Program {
 	p.Li(rTmp4, int32(api.ErrRetry))
 	p.Branch(isa.OpBEQ, isa.RegA0, rTmp4, "map")
 	p.J("die")
-
-	p.Label("serve")
-	// thread_park(req ring): blocks until messages arrive; ErrRetry is
-	// transient (§V-A), anything else the shutdown signal.
-	p.I(isa.OpADD, isa.RegA0, rAcc, isa.RegZero, 0)
-	ecall(p, api.CallRingPark)
-	p.Branch(isa.OpBEQ, isa.RegA0, isa.RegZero, "drain")
-	p.Li(rTmp4, int32(api.ErrRetry))
-	p.Branch(isa.OpBEQ, isa.RegA0, rTmp4, "serve")
-	p.J("die")
-	p.Label("drain")
-	// bulk_recv drains only this grant's descriptor run; ErrInvalidValue
-	// means the head message is a stray plain one (or a sibling drained
-	// the run) — park again rather than die.
-	p.I(isa.OpADD, isa.RegA0, rAcc, isa.RegZero, 0)
-	p.I(isa.OpADDI, isa.RegA1, rData, 0, dRingRecv)
-	p.Li(isa.RegA2, RingServeBatch)
-	p.I(isa.OpLD, isa.RegA3, rData, 0, dBulkDir)
-	ecall(p, api.CallBulkRecv)
-	p.Branch(isa.OpBNE, isa.RegA0, isa.RegZero, "serve")
-	p.I(isa.OpADD, rTmp1, isa.RegA1, isa.RegZero, 0) // n records
-
-	p.Li(rIdx, 0)
-	p.Label("xform")
-	p.Branch(isa.OpBEQ, rIdx, rTmp1, "reply")
-	// rTmp2 = rData + 104·idx (record base), rTmp3 = rData + 64·idx.
-	p.I(isa.OpSLLI, rTmp2, rIdx, 0, 3)
-	p.I(isa.OpSLLI, rTmp3, rIdx, 0, 5)
-	p.I(isa.OpADD, rTmp2, rTmp2, rTmp3, 0)
-	p.I(isa.OpSLLI, rTmp3, rIdx, 0, 6)
-	p.I(isa.OpADD, rTmp2, rTmp2, rTmp3, 0)
-	p.I(isa.OpADD, rTmp2, rTmp2, rData, 0)
-	p.I(isa.OpSLLI, rTmp3, rIdx, 0, 6)
-	p.I(isa.OpADD, rTmp3, rTmp3, rData, 0)
-	transform(p)
-	p.I(isa.OpADDI, rIdx, rIdx, 0, 1)
-	p.J("xform")
-
-	p.Label("reply")
-	// Responses are plain ring messages: descriptor validation guards
-	// where data *enters* the buffer (the request path and any enclave
-	// bulk_send), while a reply is an application echo that need not
-	// parse as descriptors — the echo server's checksum overwrites the
-	// tag word. Full ring-caller discipline: retry ErrRetry and
-	// ErrInvalidState (response ring full), advance past partial
-	// transfers, die on anything else. rTmp2 = cursor, rTmp3 = left.
-	p.I(isa.OpADDI, rTmp2, rData, 0, dRingSend)
-	p.I(isa.OpADD, rTmp3, rTmp1, isa.RegZero, 0)
-	p.Label("send")
-	p.Branch(isa.OpBEQ, rTmp3, isa.RegZero, "serve")
-	p.I(isa.OpADD, isa.RegA0, rShared, isa.RegZero, 0)
-	p.I(isa.OpADD, isa.RegA1, rTmp2, isa.RegZero, 0)
-	p.I(isa.OpADD, isa.RegA2, rTmp3, isa.RegZero, 0)
-	ecall(p, api.CallRingSend)
-	p.Branch(isa.OpBEQ, isa.RegA0, isa.RegZero, "sent")
-	p.Li(rTmp4, int32(api.ErrRetry))
-	p.Branch(isa.OpBEQ, isa.RegA0, rTmp4, "send")
-	p.Li(rTmp4, int32(api.ErrInvalidState))
-	p.Branch(isa.OpBEQ, isa.RegA0, rTmp4, "send")
-	p.J("die")
-	p.Label("sent")
-	p.I(isa.OpSLLI, rTmp4, isa.RegA1, 0, 6) // sent × RingMsgSize
-	p.I(isa.OpADD, rTmp2, rTmp2, rTmp4, 0)
-	p.I(isa.OpSUB, rTmp3, rTmp3, isa.RegA1, 0)
-	p.J("send")
-
-	p.Label("die")
-	p.Li(isa.RegA0, WorkerExitStatus)
-	exitCall(p)
-	return p
 }
 
 // BulkEchoServer answers each descriptor message with word 0 replaced
@@ -203,7 +122,7 @@ func bulkServer(l Layout, transform func(p *asm.Program)) *asm.Program {
 // the descriptor list the host sent).
 func BulkEchoServer(l Layout) *asm.Program {
 	const payload = dRingRecv + api.RingStampSize
-	return bulkServer(l, func(p *asm.Program) {
+	return serveLoop(l, bulkHooks, func(p *asm.Program) {
 		p.I(isa.OpLD, isa.RegA3, rData, 0, dBulkVA)   // bulk window base
 		p.Li(isa.RegA4, 0)                            // checksum
 		p.I(isa.OpLD, isa.RegA5, rTmp2, 0, payload+8) // ndesc
@@ -265,7 +184,7 @@ func BulkEchoExpected(payload, buf []byte) []byte {
 func BulkKVServer(l Layout) *asm.Program {
 	const payload = dRingRecv + api.RingStampSize
 	slots := BulkKVSlotsVA(l)
-	return bulkServer(l, func(p *asm.Program) {
+	return serveLoop(l, bulkHooks, func(p *asm.Program) {
 		p.I(isa.OpLD, isa.RegA3, rData, 0, dBulkVA)    // bulk window base
 		p.I(isa.OpLD, rTmp5, rTmp2, 0, payload+16)     // offset
 		p.I(isa.OpLD, rTmp6, rTmp2, 0, payload+24)     // length

@@ -580,17 +580,42 @@ const (
 	dRingKV   = 2048 // 128 × 8-byte value slots (KV server state)
 )
 
-// ringServer emits the shared serve loop. transform emits the
-// per-record body with rTmp2 holding rData+104·idx (payload at
-// [rTmp2 + dRingRecv + api.RingStampSize]) and rTmp3 holding
-// rData+64·idx (response at [rTmp3 + dRingSend]); it may clobber
-// rTmp4 and a3..a6.
-func ringServer(l Layout, transform func(p *asm.Program)) *asm.Program {
+// serverHooks are the three points where a serving variant's code
+// differs from the plain ring server's; the skeleton emits everything
+// else once for every variant.
+type serverHooks struct {
+	// setup runs right after rData is loaded, before ring discovery.
+	setup func(p *asm.Program)
+	// boot runs after ring discovery (rAcc = request ring, rShared =
+	// response ring), before the first park.
+	boot func(p *asm.Program)
+	// recv emits the batch-receive ecall; a0..a2 already hold the
+	// request ring, the recv buffer and RingServeBatch.
+	recv func(p *asm.Program)
+}
+
+// ringHooks make the skeleton the plain ring server: no extra boot
+// steps, ring_recv for the batch.
+var ringHooks = serverHooks{
+	setup: func(*asm.Program) {},
+	boot:  func(*asm.Program) {},
+	recv:  func(p *asm.Program) { ecall(p, api.CallRingRecv) },
+}
+
+// serveLoop emits the one serve skeleton every ring and bulk server
+// shares: AEX resume, ring discovery, the park/recv loop, the
+// per-record transform, the send loop with backpressure retry, and
+// die. transform emits the per-record body with rTmp2 holding
+// rData+104·idx (payload at [rTmp2 + dRingRecv + api.RingStampSize])
+// and rTmp3 holding rData+64·idx (response at [rTmp3 + dRingSend]); it
+// may clobber rTmp4 and a3..a6.
+func serveLoop(l Layout, h serverHooks, transform func(p *asm.Program)) *asm.Program {
 	p := asm.New()
 	p.Branch(isa.OpBEQ, isa.RegA0, isa.RegZero, "fresh")
 	ecall(p, api.CallResumeAEX) // does not return on success
 	p.Label("fresh")
 	p.Li64(rData, l.DataVA)
+	h.setup(p)
 	// Discover this worker's rings: get_field(enclave_rings) writes the
 	// id ‖ role directory; the consumer entry is the request ring, the
 	// producer entry the response ring.
@@ -599,13 +624,15 @@ func ringServer(l Layout, transform func(p *asm.Program)) *asm.Program {
 	p.Li(isa.RegA2, 32)
 	ecall(p, api.CallGetField)
 	p.Branch(isa.OpBNE, isa.RegA0, isa.RegZero, "die")
-	p.I(isa.OpLD, rAcc, rData, 0, dRingDir)          // entry 0 id
-	p.I(isa.OpLD, rShared, rData, 0, dRingDir+16)    // entry 1 id
-	p.I(isa.OpLD, rTmp4, rData, 0, dRingDir+8)       // entry 0 role
-	p.Branch(isa.OpBEQ, rTmp4, isa.RegZero, "serve") // 0 = consumer: req first
-	p.I(isa.OpADD, rTmp4, rAcc, isa.RegZero, 0)      // swap: rAcc=req, rShared=resp
+	p.I(isa.OpLD, rAcc, rData, 0, dRingDir)           // entry 0 id
+	p.I(isa.OpLD, rShared, rData, 0, dRingDir+16)     // entry 1 id
+	p.I(isa.OpLD, rTmp4, rData, 0, dRingDir+8)        // entry 0 role
+	p.Branch(isa.OpBEQ, rTmp4, isa.RegZero, "booted") // 0 = consumer: req first
+	p.I(isa.OpADD, rTmp4, rAcc, isa.RegZero, 0)       // swap: rAcc=req, rShared=resp
 	p.I(isa.OpADD, rAcc, rShared, isa.RegZero, 0)
 	p.I(isa.OpADD, rShared, rTmp4, isa.RegZero, 0)
+	p.Label("booted")
+	h.boot(p)
 
 	p.Label("serve")
 	// thread_park(req ring): blocks until messages arrive. ErrRetry is
@@ -622,9 +649,11 @@ func ringServer(l Layout, transform func(p *asm.Program)) *asm.Program {
 	p.I(isa.OpADD, isa.RegA0, rAcc, isa.RegZero, 0)
 	p.I(isa.OpADDI, isa.RegA1, rData, 0, dRingRecv)
 	p.Li(isa.RegA2, RingServeBatch)
-	ecall(p, api.CallRingRecv)
-	p.Branch(isa.OpBNE, isa.RegA0, isa.RegZero, "serve") // drained by a sibling: park again
-	p.I(isa.OpADD, rTmp1, isa.RegA1, isa.RegZero, 0)     // n records
+	h.recv(p)
+	// A failed recv means a sibling drained the ring (or, for bulk_recv,
+	// the head message is a stray plain one): park again rather than die.
+	p.Branch(isa.OpBNE, isa.RegA0, isa.RegZero, "serve")
+	p.I(isa.OpADD, rTmp1, isa.RegA1, isa.RegZero, 0) // n records
 
 	p.Li(rIdx, 0)
 	p.Label("xform")
@@ -643,8 +672,10 @@ func ringServer(l Layout, transform func(p *asm.Program)) *asm.Program {
 	p.J("xform")
 
 	p.Label("reply")
-	// Send with the full ring-caller discipline: retry ErrRetry
-	// (transient contention) and ErrInvalidState (response ring full —
+	// Responses are plain ring messages, for bulk servers too: a reply
+	// is an application echo that need not parse as descriptors. Send
+	// with the full ring-caller discipline: retry ErrRetry (transient
+	// contention) and ErrInvalidState (response ring full —
 	// backpressure; spinning is preemptible, the consumer will drain),
 	// advance past partial transfers, and die on anything else (a
 	// destroyed ring). rTmp2 = send cursor, rTmp3 = messages left.
@@ -679,7 +710,7 @@ func ringServer(l Layout, transform func(p *asm.Program)) *asm.Program {
 // enclave rather than a host shortcut.
 func RingEchoServer(l Layout) *asm.Program {
 	const payload = dRingRecv + api.RingStampSize
-	return ringServer(l, func(p *asm.Program) {
+	return serveLoop(l, ringHooks, func(p *asm.Program) {
 		p.I(isa.OpLD, rTmp4, rTmp2, 0, payload)
 		p.I(isa.OpADDI, rTmp4, rTmp4, 0, 1)
 		p.I(isa.OpSD, 0, rTmp3, rTmp4, dRingSend)
@@ -732,7 +763,7 @@ func RingKVRequest(op, key, value uint64) []byte {
 // holding its own store.
 func RingKVServer(l Layout) *asm.Program {
 	const payload = dRingRecv + api.RingStampSize
-	return ringServer(l, func(p *asm.Program) {
+	return serveLoop(l, ringHooks, func(p *asm.Program) {
 		p.I(isa.OpLD, isa.RegA3, rTmp2, 0, payload)   // op
 		p.I(isa.OpLD, isa.RegA4, rTmp2, 0, payload+8) // key
 		p.I(isa.OpANDI, isa.RegA5, isa.RegA4, 0, 127) // slot

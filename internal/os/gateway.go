@@ -60,7 +60,7 @@ type Gateway struct {
 
 	// tel caches the gateway's instrument handles (nil when the OS has
 	// no registry); trace is an armed per-request trace consumed by
-	// the next ProcessKeyed call.
+	// the next serving call.
 	tel   *gwTelemetry
 	trace *gwTrace
 }
@@ -76,7 +76,7 @@ type gwTelemetry struct {
 	inflight  *telemetry.Gauge     // outstanding requests, all workers
 }
 
-// gwTrace carries one armed request trace through a ProcessKeyed call:
+// gwTrace carries one armed request trace through a serving call:
 // dispatch→send→execute→recv→response spans for the request at idx.
 type gwTrace struct {
 	t      *telemetry.Trace
@@ -88,9 +88,10 @@ type gwTrace struct {
 }
 
 // TraceRequest arms tracing for the request at index idx of the next
-// ProcessKeyed call, emitting spans under parent into t. One request
-// per call; the fleet router uses this to extend its trace through the
-// shard's gateway.
+// Process, ProcessKeyed or ProcessBulk call, emitting spans under
+// parent into t. One request per call, and the next call consumes the
+// arming whether or not idx is in range; the fleet router uses this to
+// extend its trace through the shard's gateway.
 func (g *Gateway) TraceRequest(t *telemetry.Trace, parent, idx int) {
 	if t == nil {
 		g.trace = nil
@@ -200,9 +201,10 @@ func (cfg *GatewayConfig) fill() {
 
 // NewGateway forks cfg.Workers ring-serving workers from the pool's
 // template, wires each to a request/response ring pair, registers the
-// park/wake sink, and runs one startup wave so every worker discovers
-// its rings and parks. The pool's template must be a single-thread
-// ring server (internal/enclaves.RingEchoServer / RingKVServer).
+// park/wake sink, and boots the workers so each discovers its rings
+// and parks. The pool's template must be a single-thread ring server
+// (internal/enclaves.RingEchoServer / RingKVServer, or a bulk server
+// when BulkPages is set). A failed constructor unwinds what it built.
 func NewGateway(o *OS, wakes WakeSource, pool *Pool, cfg GatewayConfig) (*Gateway, error) {
 	cfg.fill()
 	g := &Gateway{
@@ -223,27 +225,6 @@ func NewGateway(o *OS, wakes WakeSource, pool *Pool, cfg GatewayConfig) (*Gatewa
 			inflight:  reg.Gauge("os.gateway.inflight"),
 		}
 	}
-	// A failed constructor unwinds what it built — rings destroyed,
-	// workers released to the pool — so retrying gateway construction
-	// leaks neither pool capacity nor SM metadata pages. Best-effort:
-	// the original error is the one reported.
-	fail := func(err error) (*Gateway, error) {
-		for _, gw := range g.workers {
-			if o.SM.RingDestroy(gw.reqRing) == nil {
-				o.ReleaseMetaPage(gw.reqRing)
-			}
-			if o.SM.RingDestroy(gw.respRing) == nil {
-				o.ReleaseMetaPage(gw.respRing)
-			}
-			// Rings first: destroying them releases any queued descriptor
-			// pins, so the revoke cannot be refused for in-flight data.
-			if gw.grant != 0 && o.SM.BulkRevoke(gw.grant) == nil {
-				o.ReleaseMetaPage(gw.grant)
-			}
-			pool.Release(gw.w)
-		}
-		return nil, err
-	}
 	var err error
 	if g.sendPA, err = o.AllocPagePA(); err != nil {
 		return nil, err
@@ -254,20 +235,10 @@ func NewGateway(o *OS, wakes WakeSource, pool *Pool, cfg GatewayConfig) (*Gatewa
 	for i := 0; i < cfg.Workers; i++ {
 		gw, err := g.newWorker()
 		if err != nil {
-			return fail(fmt.Errorf("os: gateway worker %d: %w", i, err))
+			g.unwind(0)
+			return nil, fmt.Errorf("os: gateway worker %d: %w", i, err)
 		}
-		g.byEID[gw.w.EID] = i
-		g.workers = append(g.workers, gw)
-		g.wireWorkerGauge(gw, i)
-	}
-	// Bulk buffers and grants must exist before the startup wave: the
-	// workers discover their grants in it.
-	if cfg.BulkPages > 0 {
-		for i, gw := range g.workers {
-			if err := g.setupBulk(gw, i); err != nil {
-				return fail(fmt.Errorf("os: gateway bulk worker %d: %w", i, err))
-			}
-		}
+		g.publish(gw)
 	}
 	wakes.SetWakeSink(func(ringID, eid, tid uint64) {
 		g.wokenMu.Lock()
@@ -276,32 +247,96 @@ func NewGateway(o *OS, wakes WakeSource, pool *Pool, cfg GatewayConfig) (*Gatewa
 		}
 		g.wokenMu.Unlock()
 	})
-	// Startup wave: every worker runs from its entry, reads its ring
-	// directory, finds the request ring empty, and parks.
-	var all []int
-	for i := range g.workers {
-		all = append(all, i)
-	}
-	if err := g.wave(all, api.ParkedExitValue); err != nil {
+	if err := g.boot(0); err != nil {
+		g.unwind(0)
 		wakes.SetWakeSink(func(ringID, eid, tid uint64) {})
-		return fail(fmt.Errorf("os: gateway startup: %w", err))
-	}
-	// Second boot phase for bulk workers: each is parked waiting for
-	// the setup message naming its window VA; send it, then run the
-	// wave in which every worker bulk_maps its buffer and parks serving.
-	if cfg.BulkPages > 0 {
-		for i, gw := range g.workers {
-			if err := g.sendBulkSetup(gw); err != nil {
-				wakes.SetWakeSink(func(ringID, eid, tid uint64) {})
-				return fail(fmt.Errorf("os: gateway bulk setup %d: %w", i, err))
-			}
-		}
-		if err := g.wave(g.takeWoken(), api.ParkedExitValue); err != nil {
-			wakes.SetWakeSink(func(ringID, eid, tid uint64) {})
-			return fail(fmt.Errorf("os: gateway bulk map: %w", err))
-		}
+		return nil, fmt.Errorf("os: gateway %w", err)
 	}
 	return g, nil
+}
+
+// boot runs the two-phase startup of workers[from:]. Phase one is the
+// startup wave: every new worker runs from its entry, reads its ring
+// directory, finds the request ring empty, and parks. Bulk workers
+// first get their buffers and grants, which they discover in that
+// wave; phase two then sends each its setup message naming its window
+// VA and runs the wave in which each bulk_maps its buffer and parks
+// serving.
+func (g *Gateway) boot(from int) error {
+	idxs := make([]int, 0, len(g.workers)-from)
+	for i := from; i < len(g.workers); i++ {
+		idxs = append(idxs, i)
+	}
+	bulk := g.cfg.BulkPages > 0
+	if bulk {
+		for _, i := range idxs {
+			if err := g.setupBulk(g.workers[i], i); err != nil {
+				return fmt.Errorf("bulk worker %d: %w", i, err)
+			}
+		}
+	}
+	if err := g.wave(idxs, api.ParkedExitValue); err != nil {
+		return fmt.Errorf("startup: %w", err)
+	}
+	if !bulk {
+		return nil
+	}
+	for _, i := range idxs {
+		if err := g.sendBulkSetup(g.workers[i]); err != nil {
+			return fmt.Errorf("bulk setup %d: %w", i, err)
+		}
+	}
+	if err := g.wave(g.takeWoken(), api.ParkedExitValue); err != nil {
+		return fmt.Errorf("bulk map: %w", err)
+	}
+	return nil
+}
+
+// publish appends a freshly wired worker to the serving set. byEID is
+// read by the wake sink under wokenMu, so the worker is published
+// under the same lock.
+func (g *Gateway) publish(gw *gwWorker) {
+	g.wokenMu.Lock()
+	idx := len(g.workers)
+	g.byEID[gw.w.EID] = idx
+	g.workers = append(g.workers, gw)
+	g.wokenMu.Unlock()
+	if g.tel != nil {
+		// In a fleet every shard shares one registry, so the gauge for
+		// worker idx aggregates across shards (Add-based deltas).
+		gw.depth = g.o.Telemetry.Gauge(fmt.Sprintf("os.gateway.worker%d.inflight", idx))
+	}
+}
+
+// unwind takes workers[from:] back out of the serving set and undoes
+// what building and booting them did — rings destroyed, grants
+// revoked, workers released to the pool — so a failed NewGateway or
+// AddWorker leaks neither pool capacity nor SM metadata pages, and
+// retrying is safe. Best-effort: the caller reports the original
+// error.
+func (g *Gateway) unwind(from int) {
+	gone := g.workers[from:]
+	g.wokenMu.Lock()
+	for i, gw := range gone {
+		delete(g.byEID, gw.w.EID)
+		delete(g.woken, from+i)
+	}
+	g.workers = g.workers[:from]
+	g.wokenMu.Unlock()
+	for _, gw := range gone {
+		if g.o.SM.RingDestroy(gw.reqRing) == nil {
+			g.o.ReleaseMetaPage(gw.reqRing)
+		}
+		if g.o.SM.RingDestroy(gw.respRing) == nil {
+			g.o.ReleaseMetaPage(gw.respRing)
+		}
+		// Rings first: destroying them releases any queued descriptor
+		// pins, so the revoke cannot be refused for in-flight data.
+		if gw.grant != 0 && g.o.SM.BulkRevoke(gw.grant) == nil {
+			g.o.ReleaseMetaPage(gw.grant)
+		}
+		g.pool.Release(gw.w)
+	}
 }
 
 // setupBulk gives one worker its bulk data plane: contiguous OS pages,
@@ -413,49 +448,24 @@ func (g *Gateway) newWorker() (*gwWorker, error) {
 }
 
 // AddWorker forks one more worker from the pool and wires it into the
-// serving set, running its startup wave (the worker discovers its
-// rings and parks) before returning. This is the fleet rebalancer's
-// warm-up hook: a drain target gains serving capacity before any
-// traffic cuts over to it. The pool must still have clone regions.
+// serving set, booting it (the worker discovers its rings and parks)
+// before returning. This is the fleet rebalancer's warm-up hook: a
+// drain target gains serving capacity before any traffic cuts over to
+// it. The pool must still have clone regions. A failed AddWorker
+// leaves the serving set, the pool and the monitor's metadata as they
+// were.
 func (g *Gateway) AddWorker() error {
 	gw, err := g.newWorker()
 	if err != nil {
 		return fmt.Errorf("os: gateway add worker: %w", err)
 	}
-	// byEID is read by the wake sink under wokenMu; publish the new
-	// worker under the same lock.
-	g.wokenMu.Lock()
-	g.byEID[gw.w.EID] = len(g.workers)
-	g.workers = append(g.workers, gw)
-	idx := len(g.workers) - 1
-	g.wokenMu.Unlock()
-	g.wireWorkerGauge(gw, idx)
-	if g.cfg.BulkPages > 0 {
-		if err := g.setupBulk(gw, idx); err != nil {
-			return fmt.Errorf("os: gateway add worker bulk: %w", err)
-		}
-	}
-	if err := g.wave([]int{idx}, api.ParkedExitValue); err != nil {
-		return fmt.Errorf("os: gateway add worker startup: %w", err)
-	}
-	if g.cfg.BulkPages > 0 {
-		if err := g.sendBulkSetup(gw); err != nil {
-			return fmt.Errorf("os: gateway add worker bulk setup: %w", err)
-		}
-		if err := g.wave(g.takeWoken(), api.ParkedExitValue); err != nil {
-			return fmt.Errorf("os: gateway add worker bulk map: %w", err)
-		}
+	from := len(g.workers)
+	g.publish(gw)
+	if err := g.boot(from); err != nil {
+		g.unwind(from)
+		return fmt.Errorf("os: gateway add worker %w", err)
 	}
 	return nil
-}
-
-// wireWorkerGauge gives a freshly wired worker its per-worker queue
-// depth gauge. In a fleet every shard shares one registry, so the
-// gauge for worker idx aggregates across shards (Add-based deltas).
-func (g *Gateway) wireWorkerGauge(gw *gwWorker, idx int) {
-	if g.tel != nil {
-		gw.depth = g.o.Telemetry.Gauge(fmt.Sprintf("os.gateway.worker%d.inflight", idx))
-	}
 }
 
 // NumWorkers reports the current serving-set size.
@@ -506,25 +516,12 @@ func (g *Gateway) wave(idxs []int, want uint64) error {
 	return nil
 }
 
-// sendChunk stages payloads[from:from+n] in the staging page and
-// enqueues them on gw's request ring as one batched send.
-func (g *Gateway) sendChunk(gw *gwWorker, payloads [][]byte, from, n int) error {
-	return g.sendChunkWith(gw, payloads, from, n, func(pa uint64, n int) (int, error) {
-		return g.o.SM.RingSend(gw.reqRing, pa, n)
-	})
-}
-
-// sendBulkChunk is sendChunk over bulk_send: every payload is a
-// scatter-gather descriptor message the monitor validates against gw's
-// grant before anything is published.
-func (g *Gateway) sendBulkChunk(gw *gwWorker, payloads [][]byte, from, n int) error {
-	return g.sendChunkWith(gw, payloads, from, n, func(pa uint64, n int) (int, error) {
-		return g.o.SM.BulkSend(gw.reqRing, pa, n, gw.grant)
-	})
-}
-
-func (g *Gateway) sendChunkWith(gw *gwWorker, payloads [][]byte, from, n int,
-	send func(pa uint64, n int) (int, error)) error {
+// send stages payloads[from:from+n] in the staging page and enqueues
+// them on gw's request ring as one batched send: bulk_send on a bulk
+// worker, where every payload is a scatter-gather descriptor message
+// the monitor validates against gw's grant before anything is
+// published, and ring_send otherwise.
+func (g *Gateway) send(gw *gwWorker, payloads [][]byte, from, n int) error {
 	buf := make([]byte, n*api.RingMsgSize)
 	for i := 0; i < n; i++ {
 		p := payloads[from+i]
@@ -536,7 +533,13 @@ func (g *Gateway) sendChunkWith(gw *gwWorker, payloads [][]byte, from, n int,
 	if err := g.o.WriteOwned(g.sendPA, buf); err != nil {
 		return err
 	}
-	sent, err := send(g.sendPA, n)
+	var sent int
+	var err error
+	if gw.grant != 0 {
+		sent, err = g.o.SM.BulkSend(gw.reqRing, g.sendPA, n, gw.grant)
+	} else {
+		sent, err = g.o.SM.RingSend(gw.reqRing, g.sendPA, n)
+	}
 	if err != nil {
 		return fmt.Errorf("os: gateway send: %w", err)
 	}
@@ -565,14 +568,9 @@ func (g *Gateway) sendChunkWith(gw *gwWorker, payloads [][]byte, from, n int,
 
 // drain empties gw's response ring into out, verifying the monitor's
 // sender stamp on every record, and returns how many responses landed.
+// Responses are plain messages on bulk workers too (a reply need not
+// parse as descriptors), so one ring_recv path serves every worker.
 func (g *Gateway) drain(gw *gwWorker, out [][]byte) (int, error) {
-	return g.drainWith(gw, out, func(pa uint64, max int) (int, error) {
-		return g.o.SM.RingRecv(gw.respRing, pa, max)
-	})
-}
-
-func (g *Gateway) drainWith(gw *gwWorker, out [][]byte,
-	recv func(pa uint64, max int) (int, error)) (int, error) {
 	total := 0
 	// One clock read serves the whole drain: recv is a host-side
 	// monitor call, so no modeled cycles retire while draining.
@@ -581,7 +579,7 @@ func (g *Gateway) drainWith(gw *gwWorker, out [][]byte,
 		now = g.tel.clock()
 	}
 	for gw.inflight > 0 {
-		n, err := recv(g.recvPA, g.cfg.Batch)
+		n, err := g.o.SM.RingRecv(gw.respRing, g.recvPA, g.cfg.Batch)
 		if errors.Is(err, api.ErrInvalidState) {
 			break // empty
 		}
@@ -632,7 +630,9 @@ func (g *Gateway) drainWith(gw *gwWorker, out [][]byte,
 // iteration sends what fits, runs one scheduler wave over the workers
 // the monitor woke, and drains their response rings. Under the
 // deterministic scheduler the whole run — scheduling, preemptions,
-// ring traffic — is bit-reproducible.
+// ring traffic — is bit-reproducible. On a bulk gateway every request
+// goes out as bulk_send, so payloads must be descriptor messages valid
+// for whichever worker they route to; ProcessBulk pins them instead.
 func (g *Gateway) Process(payloads [][]byte) ([][]byte, error) {
 	return g.ProcessKeyed(nil, payloads)
 }
@@ -648,6 +648,16 @@ func (g *Gateway) ProcessKeyed(keys []uint64, payloads [][]byte) ([][]byte, erro
 	if keys != nil && len(keys) != len(payloads) {
 		return nil, fmt.Errorf("os: gateway: %d keys for %d payloads", len(keys), len(payloads))
 	}
+	return g.serve(keys, payloads, g.cfg.Router)
+}
+
+// serve is the gateway's one request loop, shared by Process,
+// ProcessKeyed and ProcessBulk: assign as many requests as ring space
+// allows (router picks the worker, chunks are at most Batch messages,
+// one routing key each), run one scheduler wave over the workers the
+// sends woke, drain their response rings, and repeat until every
+// request has its response. An armed TraceRequest is consumed here.
+func (g *Gateway) serve(keys []uint64, payloads [][]byte, router Router) ([][]byte, error) {
 	out := make([][]byte, len(payloads))
 	tr := g.trace
 	g.trace = nil
@@ -663,7 +673,7 @@ func (g *Gateway) ProcessKeyed(keys []uint64, payloads [][]byte) ([][]byte, erro
 			if keys != nil {
 				key = keys[cursor]
 			}
-			i := g.cfg.Router.Pick(key, len(g.workers), space)
+			i := router.Pick(key, len(g.workers), space)
 			if i < 0 {
 				break // every ring full: serve a wave first
 			}
@@ -685,7 +695,7 @@ func (g *Gateway) ProcessKeyed(keys []uint64, payloads [][]byte) ([][]byte, erro
 				}
 				n = run
 			}
-			if err := g.sendChunk(gw, payloads, cursor, n); err != nil {
+			if err := g.send(gw, payloads, cursor, n); err != nil {
 				return nil, err
 			}
 			if tr != nil && tr.worker < 0 && tr.idx >= cursor && tr.idx < cursor+n {
@@ -752,60 +762,19 @@ func (g *Gateway) BulkBuffer(i int) (grant, basePA uint64, size int) {
 // ProcessBulk serves a batch of scatter-gather descriptor requests
 // through worker i's bulk grant, returning one response message per
 // request in request order with every monitor stamp verified — the
-// zero-copy analogue of Process. Requests all go to the one worker
-// whose buffer holds the data (payload placement is the caller's job,
-// so routing is too); batching, waves and FIFO response matching work
+// zero-copy analogue of Process, on the same loop. Requests all go to
+// the one worker whose buffer holds the data (payload placement is the
+// caller's job, so routing is too; the configured Router is not
+// consulted); batching, waves, tracing and FIFO response matching work
 // exactly as in Process.
 func (g *Gateway) ProcessBulk(worker int, payloads [][]byte) ([][]byte, error) {
 	if worker < 0 || worker >= len(g.workers) {
 		return nil, fmt.Errorf("os: gateway: no worker %d", worker)
 	}
-	gw := g.workers[worker]
-	if gw.grant == 0 {
+	if g.workers[worker].grant == 0 {
 		return nil, fmt.Errorf("os: gateway: bulk plane not configured")
 	}
-	out := make([][]byte, len(payloads))
-	cursor, done := 0, 0
-	for done < len(payloads) {
-		for cursor < len(payloads) {
-			n := g.cfg.RingCapacity - gw.inflight
-			if n == 0 {
-				break // ring full: serve a wave first
-			}
-			if n > g.cfg.Batch {
-				n = g.cfg.Batch
-			}
-			if rem := len(payloads) - cursor; n > rem {
-				n = rem
-			}
-			if err := g.sendBulkChunk(gw, payloads, cursor, n); err != nil {
-				return nil, err
-			}
-			cursor += n
-		}
-		woken := g.takeWoken()
-		if len(woken) == 0 {
-			return nil, fmt.Errorf("os: gateway stalled: %d responses outstanding, no worker woken",
-				len(payloads)-done)
-		}
-		if err := g.wave(woken, api.ParkedExitValue); err != nil {
-			return nil, err
-		}
-		for _, i := range woken {
-			// Responses come back as plain messages (the worker's reply
-			// need not parse as descriptors), so the ordinary drain serves.
-			n, err := g.drain(g.workers[i], out)
-			if err != nil {
-				return nil, err
-			}
-			done += n
-		}
-	}
-	g.Served += len(payloads)
-	if t := g.tel; t != nil {
-		t.served.Add(0, uint64(len(payloads)))
-	}
-	return out, nil
+	return g.serve(nil, payloads, pinned(worker))
 }
 
 func containsInt(xs []int, v int) bool {

@@ -58,3 +58,15 @@ func (KeyAffinity) Pick(key uint64, n int, space func(int) int) int {
 	}
 	return best
 }
+
+// pinned routes every chunk to one worker — ProcessBulk's policy, since
+// a descriptor names spans of that worker's buffer and no other.
+type pinned int
+
+// Pick returns the pinned worker while its ring has space.
+func (w pinned) Pick(_ uint64, _ int, space func(int) int) int {
+	if space(int(w)) > 0 {
+		return int(w)
+	}
+	return -1
+}

@@ -13,9 +13,7 @@
 // host Go code standing in for S-mode — submits the same api.Request
 // values through Monitor.Dispatch or DispatchBatch, normally via the
 // smcall client. Both entries land in the single routing table in
-// dispatch.go, where the per-caller-domain authorization lives; the
-// legacy exported methods (compat.go) are thin deprecated shims over
-// Dispatch kept to stage the migration.
+// dispatch.go, where the per-caller-domain authorization lives.
 //
 // # Concurrency model (paper §V-A)
 //

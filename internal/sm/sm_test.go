@@ -92,10 +92,22 @@ func newFixture(t testing.TB) *fixture {
 
 func (f *fixture) metaPage(i int) uint64 { return f.meta + uint64(i)*mem.PageSize }
 
+// EnclaveInfo exposes an enclave's state and measurement to white-box
+// tests directly, without an OS-memory staging buffer. The ABI path for
+// the same information is api.CallEnclaveStatus; this helper lives in a
+// test file so it stays out of the monitor image.
+func (mon *Monitor) EnclaveInfo(eid uint64) (EnclaveState, [32]byte, api.Error) {
+	e, st := mon.lookupEnclave(eid)
+	if st != api.OK {
+		return 0, [32]byte{}, st
+	}
+	defer e.mu.Unlock()
+	return e.State, e.Measurement, api.OK
+}
+
 // ABI-path call helpers: the white-box tests drive the same Dispatch
-// surface the OS and the adversary battery use, so the deprecated
-// compat shims are exercised nowhere outside compat_test.go. The
-// signatures mirror the old method surface to keep the tests readable.
+// surface the OS and the adversary battery use. The signatures mirror
+// the pre-ABI method surface to keep the tests readable.
 func (f *fixture) call(c api.Call, args ...uint64) api.Error {
 	return f.mon.Dispatch(api.OSRequest(c, args...)).Status
 }

@@ -171,6 +171,47 @@ func TestDoubleParkRefused(t *testing.T) {
 	}
 }
 
+// produceEcho streams total echo requests into reqRing from a
+// goroutine, holding at most window requests unanswered — the
+// gateway's own inflight rule. window must not exceed the response
+// ring's capacity: these harnesses drain responses only between
+// Machine.Run calls, so a guest whose response ring filled would spin
+// on ErrInvalidState backpressure until it ran out of steps. The
+// consumer hands back one credit per response it receives
+// (returnCredits).
+func produceEcho(t *testing.T, sys *sanctorum.System, reqRing, sendPA uint64, total, window int) chan struct{} {
+	credits := make(chan struct{}, window)
+	returnCredits(credits, window)
+	go func() {
+		for i := 0; i < total; i++ {
+			<-credits
+			if err := sys.OS.WriteOwned(sendPA, echoPayload(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			for {
+				_, err := sys.OS.SM.RingSend(reqRing, sendPA, 1)
+				if err == nil {
+					break
+				}
+				if !errors.Is(err, api.ErrInvalidState) {
+					t.Errorf("send %d: %v", i, err)
+					return
+				}
+				runtime.Gosched() // request ring full: the consumer will drain
+			}
+		}
+	}()
+	return credits
+}
+
+// returnCredits gives n answered requests' slots back to produceEcho.
+func returnCredits(credits chan struct{}, n int) {
+	for i := 0; i < n; i++ {
+		credits <- struct{}{}
+	}
+}
+
 // TestParkOnFillingRingUnderFaults streams sends into the request ring
 // from a producer goroutine while the consumer hart parks and re-parks,
 // with the fault hook spuriously failing a fraction of the producer's
@@ -211,23 +252,7 @@ func TestParkOnFillingRingUnderFaults(t *testing.T) {
 	}
 	sendPA, _ := sys.OS.AllocPagePA()
 	recvPA, _ := sys.OS.AllocPagePA()
-	go func() {
-		for i := 0; i < total; {
-			if err := sys.OS.WriteOwned(sendPA, echoPayload(i)); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := sys.OS.SM.RingSend(reqRing, sendPA, 1); err != nil {
-				if errors.Is(err, api.ErrInvalidState) {
-					runtime.Gosched() // ring full: the consumer will drain
-					continue
-				}
-				t.Errorf("send %d: %v", i, err)
-				return
-			}
-			i++
-		}
-	}()
+	credits := produceEcho(t, sys, reqRing, sendPA, total, 8)
 
 	served := 0
 	for served < total {
@@ -257,6 +282,7 @@ func TestParkOnFillingRingUnderFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			served += n
+			returnCredits(credits, n)
 		}
 	}
 	if served != total {

@@ -241,25 +241,10 @@ func TestRingParkWakeRace(t *testing.T) {
 		t.Fatalf("worker did not park at startup: a0=%#x", a0)
 	}
 
-	// Producer: stream all requests, yielding through full rings. Runs
+	// Producer: stream all requests, yielding through full rings and
+	// keeping at most a response ring's worth unanswered. Runs
 	// concurrently with the consumer hart below.
-	go func() {
-		for i := 0; i < total; {
-			if err := sys.OS.WriteOwned(sendPA, echoPayload(i)); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := sys.OS.SM.RingSend(reqRing, sendPA, 1); err != nil {
-				if errors.Is(err, api.ErrInvalidState) {
-					runtime.Gosched() // ring full: the consumer will drain
-					continue
-				}
-				t.Errorf("send %d: %v", i, err)
-				return
-			}
-			i++
-		}
-	}()
+	credits := produceEcho(t, sys, reqRing, sendPA, total, 32)
 
 	served := 0
 	for served < total {
@@ -289,6 +274,7 @@ func TestRingParkWakeRace(t *testing.T) {
 				t.Fatal(err)
 			}
 			served += n
+			returnCredits(credits, n)
 		}
 	}
 	if served != total {
