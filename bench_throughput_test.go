@@ -26,7 +26,11 @@ import (
 // probe, page-map access per load), "fast-noblock" (the per-instruction
 // fast path with the block tier disabled — the pre-§11 engine), or
 // "fast" (fast path plus trace-compiled superinstruction blocks).
-func throughputMachine(b testing.TB, kind machine.IsolationKind, engine string) *machine.Machine {
+// kernel selects the loop: "tight" (load, accumulate, store, increment,
+// mix, jump back) or "jloop", the bulk KV copy loop's top-tested shape
+// — a BLTU head before the same body, the body's J back to the head,
+// and the store on a different page from the load.
+func throughputMachine(b testing.TB, kind machine.IsolationKind, engine, kernel string) *machine.Machine {
 	b.Helper()
 	cfg := machine.DefaultConfig(kind)
 	cfg.DisableFastPath = engine == "reference"
@@ -50,27 +54,51 @@ func throughputMachine(b testing.TB, kind machine.IsolationKind, engine string) 
 	}
 
 	const codeVA, dataVA = uint64(0x10000), uint64(0x20000)
-	prog := asm.New().
-		Li64(isa.RegS0, dataVA).
-		Label("loop").
-		I(isa.OpLD, isa.RegT1, isa.RegS0, 0, 0).
-		I(isa.OpADD, isa.RegT2, isa.RegT2, isa.RegT1, 0).
-		I(isa.OpSD, 0, isa.RegS0, isa.RegT2, 8).
-		I(isa.OpADDI, isa.RegT0, isa.RegT0, 0, 1).
-		I(isa.OpXOR, isa.RegT2, isa.RegT2, isa.RegT0, 0).
-		J("loop")
+	prog := asm.New()
+	switch kernel {
+	case "tight":
+		prog.Li64(isa.RegS0, dataVA).
+			Label("loop").
+			I(isa.OpLD, isa.RegT1, isa.RegS0, 0, 0).
+			I(isa.OpADD, isa.RegT2, isa.RegT2, isa.RegT1, 0).
+			I(isa.OpSD, 0, isa.RegS0, isa.RegT2, 8).
+			I(isa.OpADDI, isa.RegT0, isa.RegT0, 0, 1).
+			I(isa.OpXOR, isa.RegT2, isa.RegT2, isa.RegT0, 0).
+			J("loop")
+	case "jloop":
+		// The head's limit is all-ones, so the exit is never taken.
+		prog.Li64(isa.RegS0, dataVA).
+			Li64(isa.RegS1, dataVA+mem.PageSize).
+			Li64(isa.RegA0, ^uint64(0)).
+			Label("loop").
+			Branch(isa.OpBLTU, isa.RegT0, isa.RegA0, "body").
+			J("done").
+			Label("body").
+			I(isa.OpLD, isa.RegT1, isa.RegS0, 0, 0).
+			I(isa.OpADD, isa.RegT2, isa.RegT2, isa.RegT1, 0).
+			I(isa.OpSD, 0, isa.RegS1, isa.RegT2, 8).
+			I(isa.OpADDI, isa.RegT0, isa.RegT0, 0, 1).
+			I(isa.OpXOR, isa.RegT2, isa.RegT2, isa.RegT0, 0).
+			J("loop").
+			Label("done").
+			I(isa.OpHALT, 0, 0, 0, 0)
+	default:
+		b.Fatalf("unknown kernel %q", kernel)
+	}
 	bin, err := prog.Assemble(codeVA)
 	if err != nil {
 		b.Fatal(err)
 	}
 
 	codePPN, _ := alloc()
-	dataPPN, _ := alloc()
 	if err := builder.Map(codeVA, codePPN<<mem.PageBits, pt.R|pt.X); err != nil {
 		b.Fatal(err)
 	}
-	if err := builder.Map(dataVA, dataPPN<<mem.PageBits, pt.R|pt.W); err != nil {
-		b.Fatal(err)
+	for va := dataVA; va < dataVA+2*mem.PageSize; va += mem.PageSize {
+		dataPPN, _ := alloc()
+		if err := builder.Map(va, dataPPN<<mem.PageBits, pt.R|pt.W); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if err := m.Mem.WriteBytes(codePPN<<mem.PageBits, bin); err != nil {
 		b.Fatal(err)
@@ -203,11 +231,16 @@ func TestBlockTierInterleavedRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement only")
 	}
-	for _, kind := range []machine.IsolationKind{
-		machine.IsolationNone, machine.IsolationSanctum, machine.IsolationKeystone,
+	for _, row := range []struct {
+		kind   machine.IsolationKind
+		kernel string
+	}{
+		{machine.IsolationNone, "tight"}, {machine.IsolationSanctum, "tight"},
+		{machine.IsolationKeystone, "tight"}, {machine.IsolationSanctum, "jloop"},
 	} {
-		mBlk := throughputMachine(t, kind, "fast")
-		mNo := throughputMachine(t, kind, "fast-noblock")
+		kind := row.kind
+		mBlk := throughputMachine(t, kind, "fast", row.kernel)
+		mNo := throughputMachine(t, kind, "fast-noblock", row.kernel)
 		const slice = 8192 * 20
 		var tBlk, tNo time.Duration
 		for _, m := range []*machine.Machine{mBlk, mNo} { // warmup: compile + heat caches
@@ -227,8 +260,8 @@ func TestBlockTierInterleavedRatio(t *testing.T) {
 			}
 			tNo += time.Since(s)
 		}
-		t.Logf("%-10s block %8.0f ns/8192  noblock %8.0f ns/8192  block tier %.2fx",
-			kind.String(), float64(tBlk.Nanoseconds())/60/20, float64(tNo.Nanoseconds())/60/20,
+		t.Logf("%-10s %-6s block %8.0f ns/8192  noblock %8.0f ns/8192  block tier %.2fx",
+			kind.String(), row.kernel, float64(tBlk.Nanoseconds())/60/20, float64(tNo.Nanoseconds())/60/20,
 			float64(tNo)/float64(tBlk))
 	}
 }
@@ -238,33 +271,44 @@ func TestBlockTierInterleavedRatio(t *testing.T) {
 // engines that must be cycle-identical: the reference interpreter,
 // the per-instruction fast path with the block tier disabled (the
 // pre-§11 engine), and the full fast path with trace-compiled blocks.
-// The within-run ratios are the headline speedups — fast-noblock/fast
-// is the block tier's contribution, reference/fast the total — and
-// are immune to host-speed drift because all rows come from one
-// process; cycle-exactness is asserted by TestFastSlowEquivalence.
+// The jloop rows run the top-tested copy loop on Sanctum through the
+// two fast engines. The within-run ratios are the headline speedups —
+// fast-noblock/fast is the block tier's contribution, reference/fast
+// the total — and are immune to host-speed drift because all rows come
+// from one process; cycle-exactness is asserted by
+// TestFastSlowEquivalence.
 func BenchmarkThroughput(b *testing.B) {
 	for _, engine := range []string{"fast", "fast-noblock", "reference"} {
 		for _, kind := range []machine.IsolationKind{
 			machine.IsolationNone, machine.IsolationSanctum, machine.IsolationKeystone,
 		} {
 			b.Run(engine+"/"+kind.String(), func(b *testing.B) {
-				m := throughputMachine(b, kind, engine)
-				const batch = 8192
-				retired := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := m.Run(0, batch)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Reason != machine.StopMaxSteps {
-						b.Fatalf("unexpected stop: %v (trap %v)", res.Reason, res.Trap)
-					}
-					retired += res.Steps
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "instr/s")
+				benchThroughput(b, throughputMachine(b, kind, engine, "tight"))
+			})
+		}
+		if engine != "reference" {
+			b.Run(engine+"/jloop", func(b *testing.B) {
+				benchThroughput(b, throughputMachine(b, machine.IsolationSanctum, engine, "jloop"))
 			})
 		}
 	}
+}
+
+// benchThroughput runs m in 8192-step batches and reports instr/s.
+func benchThroughput(b *testing.B, m *machine.Machine) {
+	const batch = 8192
+	retired := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := m.Run(0, batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Reason != machine.StopMaxSteps {
+			b.Fatalf("unexpected stop: %v (trap %v)", res.Reason, res.Trap)
+		}
+		retired += res.Steps
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "instr/s")
 }

@@ -52,6 +52,8 @@ func passingRows() map[string]Result {
 		"BenchmarkThroughput/fast/sanctum":          nsRow(100),
 		"BenchmarkThroughput/fast-noblock/keystone": nsRow(220),
 		"BenchmarkThroughput/fast/keystone":         nsRow(100),
+		"BenchmarkThroughput/fast-noblock/jloop":    nsRow(180),
+		"BenchmarkThroughput/fast/jloop":            nsRow(100),
 		"BenchmarkThroughput/reference/none":        nsRow(500),
 		"BenchmarkThroughput/reference/sanctum":     nsRow(510),
 		"BenchmarkThroughput/reference/keystone":    nsRow(520),
@@ -75,6 +77,7 @@ var passingOut = []string{
 	"  block tier over per-instruction fast path, none (E18)                                   2.00×  (target ≥1.4×)  ok\n",
 	"  block tier over per-instruction fast path, sanctum (E18)                                   2.10×  (target ≥1.4×)  ok\n",
 	"  block tier over per-instruction fast path, keystone (E18)                                   2.20×  (target ≥1.4×)  ok\n",
+	"  block tier over per-instruction fast path, jloop (E18)                                   1.80×  (target ≥1.4×)  ok\n",
 	"  full fast path vs reference, none (E18)                                            5.00×  (target ≥3×)  ok\n",
 	"  full fast path vs reference, sanctum (E18)                                         5.10×  (target ≥3×)  ok\n",
 	"  full fast path vs reference, keystone (E18)                                        5.20×  (target ≥3×)  ok\n",
@@ -207,7 +210,7 @@ func TestEvaluateGates(t *testing.T) {
 			rows: edit(func(m map[string]Result) {
 				delete(m, "BenchmarkTelemetryOverhead/fleet")
 			}),
-			out:      passingOutWithout(10),
+			out:      passingOutWithout(11),
 			failures: []string{"fleet telemetry overhead ≤5% (E20): benchmark missing"},
 		},
 		{
@@ -231,7 +234,7 @@ func TestEvaluateGates(t *testing.T) {
 			rows: edit(func(m map[string]Result) {
 				delete(m, "BenchmarkBulkThroughput")
 			}),
-			out:      passingOutWithout(11),
+			out:      passingOutWithout(12),
 			failures: []string{"bulk zero-copy vs chunked messages (E21): benchmark missing"},
 		},
 		{

@@ -24,8 +24,12 @@ import (
 // threshold, and spans decoded instructions from its entry VA up to and
 // including the first control-flow instruction — or up to (excluding)
 // the first system op (ECALL, EBREAK, HALT, RDCYCLE), illegal word,
-// page boundary or the length cap. Blocks never span pages, so one
-// translation covers every fetch in the block.
+// page boundary or the length cap. A JAL x0 to an aligned target in the
+// same page, other than the entry, does not end the block: formation
+// follows it, so a top-tested loop (head branch, body, J back to the
+// head) is one self-looping block. Blocks never span pages, so one
+// translation covers every fetch in the block; because of followed
+// jumps they need not be contiguous within it.
 //
 // The block is divided into segments: a segment is a maximal run whose
 // only observable effects are register updates, ended by a memory
@@ -124,7 +128,7 @@ type BlockStats struct {
 	Instrs        uint64 // instructions retired inside blocks
 	GuardBails    uint64 // mid-block guard misses (fell back to interpreter)
 	Revalidations uint64 // stale blocks revived without recompiling
-	Invalidations uint64 // stale blocks that failed revalidation (dead until recompiled)
+	Invalidations uint64 // failed revalidations; the block stays installed and the next arrival retries
 }
 
 // BlockStats returns the core's block-engine counters.
@@ -155,8 +159,10 @@ type block struct {
 	tgMode  uint64          // guard: TLB generation + privilege mode pack
 	root    uint64          // page-table root every VA in the block walks from
 	n       int             // total instructions; 0 marks a negative-cache entry
-	hasTerm bool            // ends in control flow (else falls through to entry+n*8)
+	hasTerm bool            // ends in control flow (else falls through to fallVA)
+	fallVA  uint64          // next PC after a pass that ends without a terminal
 	words   []uint64        // original instruction words, for revalidation
+	offs    []uint64        // page offset of each instruction, in program order
 	lrefs   []cache.LineRef // L1 refs for the code lines, shared by segments
 	segs    []segEnv        // fused segments, in program order
 }
@@ -241,7 +247,7 @@ func (c *Core) execBlock(b *block, budget int) (int, *isa.Trap) {
 		passes++
 		c.brun.base += b.n
 		if !b.hasTerm {
-			cpu.PC = b.entryVA + uint64(b.n)*isa.InstrSize
+			cpu.PC = b.fallVA
 		}
 		if cpu.PC != b.entryVA || c.brun.base+b.n > budget {
 			c.bstats.Instrs += uint64(c.brun.base)
@@ -268,12 +274,13 @@ func (c *Core) execBlock(b *block, budget int) (int, *isa.Trap) {
 }
 
 // guardFail records a guard bail at segBase instructions into the
-// current pass and points the PC at the first un-executed instruction.
-func (c *Core) guardFail(b *block, segBase int) {
-	// Every pass starts at the entry VA, so the resume PC depends only
-	// on the bailing segment's offset — while the retired count also
-	// carries the chained passes completed before this one.
-	c.CPU.PC = b.entryVA + uint64(segBase)*isa.InstrSize
+// current pass and points the PC at the bailing segment's first
+// instruction, segVA — the first un-executed one.
+func (c *Core) guardFail(segVA uint64, segBase int) {
+	// Every pass runs the same instruction sequence, so the resume PC
+	// depends only on the bailing segment — while the retired count
+	// also carries the chained passes completed before this one.
+	c.CPU.PC = segVA
 	c.brun.retired = c.brun.base + segBase
 	c.bstats.GuardBails++
 }
@@ -307,6 +314,7 @@ func (c *Core) fetchChargeSlow(pa uint64, ref *cache.LineRef, n uint64) uint64 {
 // into its closure.
 type segSpec struct {
 	base   int    // instructions retired before this segment
+	va     uint64 // VA of the segment's first instruction
 	n      int    // instructions in this segment
 	static uint64 // batched base cycle cost
 	fetch  []fetchRun
@@ -399,6 +407,7 @@ type segEnv struct {
 
 	segBase int    // instructions retired before this segment
 	segEnd  int    // segBase + segment length
+	segVA   uint64 // VA of the segment's first instruction (guard-bail resume PC)
 	static  uint64 // batched base cycle cost of the fused ops
 
 	// Fetch accounting. The single-line case covers nearly every
@@ -440,6 +449,7 @@ func (c *Core) buildSeg(b *block, s segSpec) segEnv {
 		b:       b,
 		segBase: s.base,
 		segEnd:  s.base + s.n,
+		segVA:   s.va,
 		static:  s.static,
 		fetch1:  len(s.fetch) == 1,
 		pa0:     b.paPage | f0.off,
@@ -499,7 +509,7 @@ func (c *Core) buildSeg(b *block, s segSpec) segEnv {
 func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 	// Guard (elided when the previous segment proved it stable).
 	if !clean && (e.b.icGen != c.icGen.Load() || e.b.tgMode != tgMode(c.TLB.Gen(), cpu.Mode)) {
-		c.guardFail(e.b, e.segBase)
+		c.guardFail(e.segVA, e.segBase)
 		return segStop
 	}
 	// Batched fetch accounting for the whole segment: each fetch is a
@@ -593,10 +603,14 @@ func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 			}
 			clean = false
 		}
-		if c.L1.TouchFast(pa, &c.dataRef) {
+		ref := &c.storeRef
+		if e.isLoad {
+			ref = &c.dataRef
+		}
+		if c.L1.TouchFast(pa, ref) {
 			cpu.Cycles += c.l1Hit
 		} else {
-			cpu.Cycles += c.cachedAccessRef(pa, &c.dataRef)
+			cpu.Cycles += c.cachedAccessRef(pa, ref)
 		}
 		if e.isLoad {
 			var val uint64
@@ -632,9 +646,9 @@ func (e *segEnv) run(c *Core, cpu *isa.CPU, clean bool) int {
 		}
 		var cow, hitCode bool
 		if e.width == 8 {
-			cow, hitCode = c.dataWin.Store64Block(pa, val)
+			cow, hitCode = c.storeWin.Store64Block(pa, val)
 		} else {
-			cow, hitCode = c.dataWin.StoreFastBlock(pa, e.width, val)
+			cow, hitCode = c.storeWin.StoreFastBlock(pa, e.width, val)
 		}
 		if cow {
 			c.segCOWTrap(e.memVA, addr, e.segEnd)
@@ -726,13 +740,23 @@ func (c *Core) compileBlock(pc uint64) *block {
 	// pass its guard.
 	c.machine.markCodePage(paPage)
 
+	// Formation walks the code from pc, following in-page JAL x0 jumps:
+	// a followed jump retires as a fused op (its fetch and base cost
+	// join its segment, it has no register effect) and formation goes
+	// on at its target, so a top-tested loop — head branch, body, jump
+	// back to the head — becomes one block that chains on itself. The
+	// instructions are therefore not contiguous; offs records where
+	// each one sits in the page.
+	pageVA := pc &^ pageMask
 	var (
 		words []uint64
 		ins   []isa.Instr
+		offs  []uint64
 		term  func(*isa.CPU) uint64
 	)
-	for va := pc; len(ins) < blockCap; va += isa.InstrSize {
-		if va&^pageMask != pc&^pageMask {
+	va := pc
+	for len(ins) < blockCap {
+		if va&^pageMask != pageVA {
 			break // blocks never span pages
 		}
 		if r, _ := c.walkRoot(va); r != root {
@@ -741,13 +765,21 @@ func (c *Core) compileBlock(pc uint64) *block {
 		w := c.fetchWin.LoadFast(paPage|(va&pageMask), 8)
 		in := isa.Decode(w)
 		if t := isa.BlockTerm(in, va); t != nil {
-			words, ins, term = append(words, w), append(ins, in), t
+			words, ins, offs = append(words, w), append(ins, in), append(offs, va&pageMask)
+			target := va + uint64(int64(in.Imm))
+			if in.Op == isa.OpJAL && in.Rd == isa.RegZero && target&(isa.InstrSize-1) == 0 &&
+				target&^pageMask == pageVA && target != pc {
+				va = target // followed jump
+				continue
+			}
+			term = t
 			break
 		}
 		if isa.BlockALU(in) == nil && !isa.IsLoad(in.Op) && !isa.IsStore(in.Op) {
 			break // system op, HALT, RDCYCLE or illegal word: never fused
 		}
-		words, ins = append(words, w), append(ins, in)
+		words, ins, offs = append(words, w), append(ins, in), append(offs, va&pageMask)
+		va += isa.InstrSize
 	}
 
 	idx := (pc >> 3) & (bcEntries - 1)
@@ -760,12 +792,15 @@ func (c *Core) compileBlock(pc uint64) *block {
 	b := &block{
 		entryVA: pc, paPage: paPage,
 		icGen: icGen, tgMode: tg, root: root,
-		n: len(ins), hasTerm: term != nil, words: words,
+		n: len(ins), hasTerm: term != nil, fallVA: va,
+		words: words, offs: offs,
 	}
 	lineBits := c.L1.Config().LineBits
-	pcOff := pc & pageMask
-	firstLine := pcOff >> lineBits
-	b.lrefs = make([]cache.LineRef, (pcOff+uint64(b.n-1)*isa.InstrSize)>>lineBits-firstLine+1)
+	firstLine, lastLine := offs[0]>>lineBits, offs[0]>>lineBits
+	for _, off := range offs {
+		firstLine, lastLine = min(firstLine, off>>lineBits), max(lastLine, off>>lineBits)
+	}
+	b.lrefs = make([]cache.LineRef, lastLine-firstLine+1)
 
 	seg := segSpec{}
 	flush := func() {
@@ -776,7 +811,11 @@ func (c *Core) compileBlock(pc uint64) *block {
 	}
 	for i := range ins {
 		in := ins[i]
-		off := pcOff + uint64(i)*isa.InstrSize
+		off := offs[i]
+		va := pageVA | off
+		if seg.n == 0 {
+			seg.va = va
+		}
 		if line := int(off>>lineBits - firstLine); len(seg.fetch) > 0 && seg.fetch[len(seg.fetch)-1].line == line {
 			seg.fetch[len(seg.fetch)-1].n++
 		} else {
@@ -784,7 +823,6 @@ func (c *Core) compileBlock(pc uint64) *block {
 		}
 		seg.n++
 		seg.static += isa.BlockCost(in.Op)
-		va := pc + uint64(i)*isa.InstrSize
 		switch {
 		case i == b.n-1 && term != nil:
 			seg.term, seg.termIn, seg.termVA = term, in, va
@@ -794,6 +832,8 @@ func (c *Core) compileBlock(pc uint64) *block {
 			// after it, so the next fetch batch starts a new segment.
 			seg.mem, seg.memVA = &ins[i], va
 			flush()
+		case in.Op == isa.OpJAL:
+			// A followed jump: fetch and base cost only.
 		default:
 			seg.alu = append(seg.alu, in)
 		}
@@ -823,15 +863,15 @@ func (c *Core) revalidateBlock(b *block) bool {
 	if e.pa&^uint64(mem.PageMask) != b.paPage {
 		return false // page remapped: only a recompile can retarget it
 	}
-	for i := 0; i < b.n; i++ {
-		if r, _ := c.walkRoot(b.entryVA + uint64(i)*isa.InstrSize); r != e.root {
+	pageVA := b.entryVA &^ uint64(mem.PageMask)
+	for _, off := range b.offs {
+		if r, _ := c.walkRoot(pageVA | off); r != e.root {
 			return false
 		}
 	}
 	c.machine.markCodePage(b.paPage) // re-mark before reading (snoop race)
-	off := b.entryVA & uint64(mem.PageMask)
 	for i, w := range b.words {
-		if c.fetchWin.LoadFast(b.paPage|(off+uint64(i)*isa.InstrSize), 8) != w {
+		if c.fetchWin.LoadFast(b.paPage|b.offs[i], 8) != w {
 			return false
 		}
 	}

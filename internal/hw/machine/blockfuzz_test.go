@@ -145,7 +145,13 @@ func bfGenerate(data []byte) []uint64 {
 					Rs1: b2 % isa.NumRegs, Rs2: b3 % isa.NumRegs, Imm: off,
 				}
 			} else {
-				in = isa.Instr{Op: isa.OpJAL, Rd: b2 % isa.NumRegs, Imm: off}
+				// Half the jumps are plain J (rd = x0): the in-page
+				// ones are followed by block formation.
+				rd := b2 % isa.NumRegs
+				if b3&1 == 0 {
+					rd = isa.RegZero
+				}
+				in = isa.Instr{Op: isa.OpJAL, Rd: rd, Imm: off}
 			}
 		case sel < 225: // system ops: block formation must stop before them
 			in = isa.Instr{Op: isa.OpRDCYCLE, Rd: b2 % isa.NumRegs}
@@ -161,7 +167,9 @@ func bfGenerate(data []byte) []uint64 {
 	return words
 }
 
-// bfState snapshots everything the two engines must agree on.
+// bfState snapshots everything the two engines must agree on, plus
+// the block engine's own counters (not compared: the control engine
+// has none).
 type bfState struct {
 	res    RunResult
 	regs   [isa.NumRegs]uint64
@@ -174,14 +182,21 @@ type bfState struct {
 	values []uint64
 	code   []byte
 	data   []byte
+	blocks BlockStats
 }
 
-func bfRun(t *testing.T, kind IsolationKind, blockEngine bool, words []uint64) bfState {
+// bfScript drives a loaded machine and returns the last run's result.
+type bfScript func(m *Machine, c *Core) (RunResult, error)
+
+// bfRun4096 is the fuzzer's script: one run of 4096 steps.
+func bfRun4096(m *Machine, _ *Core) (RunResult, error) { return m.Run(0, 4096) }
+
+func bfRun(t *testing.T, kind IsolationKind, blockEngine bool, words []uint64, script bfScript) bfState {
 	t.Helper()
 	m, c := bfMachine(t, kind, blockEngine, 1, words)
 	fw := &skipFirmware{}
 	m.Firmware = fw
-	res, err := m.Run(0, 4096)
+	res, err := script(m, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,6 +207,7 @@ func bfRun(t *testing.T, kind IsolationKind, blockEngine bool, words []uint64) b
 		l2:     [3]uint64{m.L2.Hits, m.L2.Misses, m.L2.Evictions},
 		causes: fw.causes, values: fw.values,
 		code: make([]byte, bfCodeLen), data: make([]byte, bfDataLen),
+		blocks: c.BlockStats(),
 	}
 	if err := m.Mem.ReadBytes(bfCodePA, s.code); err != nil {
 		t.Fatal(err)
@@ -202,10 +218,20 @@ func bfRun(t *testing.T, kind IsolationKind, blockEngine bool, words []uint64) b
 	return s
 }
 
-func bfCompare(t *testing.T, kind IsolationKind, words []uint64) {
+// bfCompare runs words for 4096 steps on both engines, fails on any
+// divergence, and returns the block engine's counters.
+func bfCompare(t *testing.T, kind IsolationKind, words []uint64) BlockStats {
 	t.Helper()
-	blk := bfRun(t, kind, true, words)
-	ref := bfRun(t, kind, false, words)
+	return bfCompareScript(t, kind, words, bfRun4096)
+}
+
+// bfCompareScript runs words through script on the block engine and on
+// the per-instruction engine, fails on any divergence, and returns the
+// block engine's counters.
+func bfCompareScript(t *testing.T, kind IsolationKind, words []uint64, script bfScript) BlockStats {
+	t.Helper()
+	blk := bfRun(t, kind, true, words, script)
+	ref := bfRun(t, kind, false, words, script)
 	if blk.res.Reason != ref.res.Reason || blk.res.Steps != ref.res.Steps {
 		t.Errorf("%v: stop block %v/%d, reference %v/%d",
 			kind, blk.res.Reason, blk.res.Steps, ref.res.Reason, ref.res.Steps)
@@ -247,6 +273,7 @@ func bfCompare(t *testing.T, kind IsolationKind, words []uint64) {
 				kind, i, blk.data[i], ref.data[i])
 		}
 	}
+	return blk.blocks
 }
 
 // FuzzBlockDifferential is the open-ended harness; the nightly deep-CI
@@ -260,6 +287,30 @@ func FuzzBlockDifferential(f *testing.F) {
 	f.Add([]byte{150, 10, 1, 8, 150, 7, 0x11, 3, 150, 3, 2, 200})
 	f.Add([]byte{0, 22, 5, 2, 160, 1, 9, 0, 0, 0, 6, 6, 210, 0, 5, 0})
 	f.Add([]byte{255, 1, 2, 3, 230, 9, 9, 9, 220, 0, 3, 0})
+	// Top-tested loops, the shape followed jumps turn into one chained
+	// block: LI limit; head: BLTU → body; J exit; body: load, ALU,
+	// store, increment; J head. The second has a BNE head and an
+	// ALU-only body, and exits into a system op.
+	f.Add([]byte{
+		0, 22, 6, 100, // LI x6, 2200
+		195, 4, 2, 6, // head: BLTU x2, x6, +16
+		210, 0, 6, 0, // J +48 (exit)
+		150, 3, 12, 1, // body: LD x12, 8(x8)
+		0, 0, 13, 13, // ADD x13, x13, x1
+		150, 10, 4, 65, // SD x1, 520(x8)
+		0, 13, 2, 2, // ADDI x2, x2, 26
+		210, 0, 250, 0, // J -48 (head)
+	})
+	f.Add([]byte{
+		0, 22, 6, 39, // LI x6, 858
+		195, 1, 2, 6, // head: BNE x2, x6, +16
+		210, 0, 5, 0, // J +40 (exit)
+		0, 13, 2, 2, // body: ADDI x2, x2, 26
+		0, 4, 7, 2, // XOR x7, x2, x0
+		0, 0, 13, 13, // ADD x13, x13, x1
+		210, 0, 251, 0, // J -40 (head)
+		220, 0, 3, 0, // exit: RDCYCLE x3
+	})
 	rng := rand.New(rand.NewSource(7))
 	long := make([]byte, 256)
 	rng.Read(long)

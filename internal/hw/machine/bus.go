@@ -164,13 +164,13 @@ func (c *Core) Store(va uint64, width int, val uint64) (uint64, *isa.MemFault) {
 			return walkCyc, fault
 		}
 		cyc := c.l1Hit
-		if !c.L1.TouchFast(pa, &c.dataRef) {
-			cyc = c.cachedAccessRef(pa, &c.dataRef)
+		if !c.L1.TouchFast(pa, &c.storeRef) {
+			cyc = c.cachedAccessRef(pa, &c.storeRef)
 		}
 		if c.machine.Mem.IsCOW(pa) {
 			return walkCyc + cyc, &isa.MemFault{Kind: isa.FaultAccess, Addr: va}
 		}
-		c.dataWin.StoreFast(pa, width, val)
+		c.storeWin.StoreFast(pa, width, val)
 		return walkCyc + cyc, nil
 	}
 	pa, walkCyc, fault := c.translate(va, uint64(width), pt.Store, c.CPU.Mode)

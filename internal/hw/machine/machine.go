@@ -246,6 +246,7 @@ func New(cfg Config) (*Machine, error) {
 		c.icGen.Store(1)
 		c.fetchWin.Reset(m.Mem)
 		c.dataWin.Reset(m.Mem)
+		c.storeWin.Reset(m.Mem)
 		if c.fastPath && !cfg.DisableBlockEngine {
 			c.blockHot = defaultBlockHot
 			if cfg.BlockThreshold > 0 {
@@ -322,9 +323,11 @@ type Core struct {
 	fetchTC  transCache
 	loadTC   transCache
 	storeTC  transCache
-	dataRef  cache.LineRef // L1 line of the last data access
+	dataRef  cache.LineRef // L1 line of the last data load
+	storeRef cache.LineRef // L1 line of the last data store
 	fetchWin mem.Window    // last code page touched
-	dataWin  mem.Window    // last data page touched
+	dataWin  mem.Window    // last data page loaded from
+	storeWin mem.Window    // last data page stored to
 	irqTrap  isa.Trap      // reusable interrupt trap buffer
 
 	// Block-engine state (block.go). seqPC tracks fetch sequentiality
