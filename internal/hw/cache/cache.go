@@ -290,15 +290,41 @@ func (c *Cache) FlushAll() {
 }
 
 // FlushIf invalidates lines whose physical line address matches pred,
-// returning the count. The SM uses this to clean a DRAM region's cache
-// footprint on re-allocation when partitioning is not available.
+// returning the count. The SM uses it to clean a DRAM region's cache
+// footprint on re-allocation: on the shared LLCs of Keystone and the
+// baseline, and on every platform's private L1s. Sanctum's partitioned
+// LLC uses FlushPartitionIf instead.
 func (c *Cache) FlushIf(pred func(lineAddr uint64) bool) int {
 	if c.shared {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 	}
+	return c.flushSets(c.sets, pred)
+}
+
+// FlushPartitionIf is FlushIf restricted to the sets partition part
+// owns. It is exact for any pred that only matches lines of addresses
+// PartitionOf maps to part — a region predicate on Sanctum's
+// page-colored LLC — because setIndex places every such line inside
+// those sets. On an unpartitioned cache it scans every set, as FlushIf.
+func (c *Cache) FlushPartitionIf(part int, pred func(lineAddr uint64) bool) int {
+	if c.shared {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+	}
+	sets := c.sets
+	if c.cfg.PartitionOf != nil {
+		per := c.cfg.Sets / c.cfg.Partitions
+		sets = sets[part*per : (part+1)*per]
+	}
+	return c.flushSets(sets, pred)
+}
+
+// flushSets invalidates the live lines of sets matching pred and
+// returns the count; the caller holds mu if the cache is shared.
+func (c *Cache) flushSets(sets [][]line, pred func(lineAddr uint64) bool) int {
 	n := 0
-	for _, set := range c.sets {
+	for _, set := range sets {
 		for i := range set {
 			if set[i].live(c.epoch) && pred(set[i].tag) {
 				set[i].valid = false

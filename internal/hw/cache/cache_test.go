@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -81,6 +82,85 @@ func TestFlushIf(t *testing.T) {
 	n := c.FlushIf(func(lineAddr uint64) bool { return lineAddr<<6 >= 0x10000 })
 	if n != 1 || c.Probe(0x10000) || !c.Probe(0x0000) {
 		t.Fatalf("selective flush wrong: n=%d", n)
+	}
+}
+
+// partCfg is a page-colored cache in the shape of Sanctum's LLC: four
+// 64 KiB DRAM regions, each owning a quarter of the sets.
+func partCfg() Config {
+	cfg := sharedCfg()
+	cfg.Partitions = 4
+	cfg.PartitionOf = func(pa uint64) int { return int(pa>>16) % 4 }
+	return cfg
+}
+
+// randomStream returns n line-aligned addresses spread over all four
+// regions of partCfg, reused often enough to hit as well as evict.
+func randomStream(rng *rand.Rand, n int) []uint64 {
+	pas := make([]uint64, n)
+	for i := range pas {
+		pas[i] = uint64(rng.Intn(4))<<16 | uint64(rng.Intn(256))<<6
+	}
+	return pas
+}
+
+// TestFlushPartitionIfMatchesFlushIf flushes one region from two
+// identical partitioned caches, one by a full FlushIf scan and one by
+// the partition-scoped scan, and requires the two caches to stay
+// indistinguishable: the same count and resident set, and the same
+// statistics under further traffic.
+func TestFlushPartitionIfMatchesFlushIf(t *testing.T) {
+	for r := 0; r < 4; r++ {
+		rng := rand.New(rand.NewSource(int64(r) + 1))
+		full, scoped := New(partCfg()), New(partCfg())
+		fill := randomStream(rng, 2000)
+		for _, pa := range fill {
+			full.Access(pa)
+			scoped.Access(pa)
+		}
+		var ref LineRef
+		scoped.AccessRef(fill[len(fill)-1], &ref)
+		full.Access(fill[len(fill)-1])
+
+		inRegion := func(lineAddr uint64) bool { return int(lineAddr<<6>>16) == r }
+		nFull := full.FlushIf(inRegion)
+		nScoped := scoped.FlushPartitionIf(r, inRegion)
+		if nFull != nScoped || nFull == 0 {
+			t.Fatalf("region %d: FlushIf dropped %d lines, FlushPartitionIf %d", r, nFull, nScoped)
+		}
+		if full.Live() != scoped.Live() {
+			t.Fatalf("region %d: live %d vs %d", r, full.Live(), scoped.Live())
+		}
+		for _, pa := range fill {
+			if full.Probe(pa) != scoped.Probe(pa) {
+				t.Fatalf("region %d: line %#x resident %v after FlushIf, %v after FlushPartitionIf",
+					r, pa, full.Probe(pa), scoped.Probe(pa))
+			}
+		}
+		if scoped.TouchFast(fill[len(fill)-1], &ref) {
+			t.Fatalf("region %d: a LineRef survived FlushPartitionIf", r)
+		}
+		for _, pa := range randomStream(rng, 2000) {
+			full.Access(pa)
+			scoped.Access(pa)
+		}
+		if full.Hits != scoped.Hits || full.Misses != scoped.Misses || full.Evictions != scoped.Evictions {
+			t.Fatalf("region %d: stats diverged: %d/%d/%d vs %d/%d/%d", r,
+				full.Hits, full.Misses, full.Evictions, scoped.Hits, scoped.Misses, scoped.Evictions)
+		}
+	}
+}
+
+// TestFlushPartitionIfUnpartitioned checks the fallback: on a shared
+// cache the partition argument is ignored and every set is scanned.
+func TestFlushPartitionIfUnpartitioned(t *testing.T) {
+	c := New(sharedCfg())
+	c.Access(0x0000)
+	c.Access(0x10000)
+	c.Access(0x20040)
+	n := c.FlushPartitionIf(0, func(lineAddr uint64) bool { return lineAddr<<6 >= 0x10000 })
+	if n != 2 || c.Probe(0x10000) || c.Probe(0x20040) || !c.Probe(0x0000) {
+		t.Fatalf("unpartitioned FlushPartitionIf wrong: n=%d", n)
 	}
 }
 

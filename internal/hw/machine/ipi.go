@@ -28,6 +28,12 @@ type ipiMailbox struct {
 	queue  []func(*Core)
 	posted uint64        // requests ever posted (under mu)
 	acked  atomic.Uint64 // requests executed
+
+	// spare is the array the last drain ran, cleared of its closures.
+	// The queue and spare swap on every drain, so a warmed mailbox
+	// posts without allocating. Only a drainer touches it, and every
+	// drainer holds the core's runMu.
+	spare []func(*Core)
 }
 
 // post appends a request and returns its sequence number.
@@ -48,15 +54,18 @@ func (c *Core) drainIPIs() {
 		c.ipi.mu.Lock()
 		c.pending.And(^pendingIPI)
 		fns := c.ipi.queue
-		c.ipi.queue = nil
-		c.ipi.mu.Unlock()
 		if len(fns) == 0 {
+			c.ipi.mu.Unlock()
 			return
 		}
+		c.ipi.queue = c.ipi.spare
+		c.ipi.mu.Unlock()
 		for _, fn := range fns {
 			fn(c)
 			c.ipi.acked.Add(1)
 		}
+		clear(fns)
+		c.ipi.spare = fns[:0]
 		// A request executed above may itself have posted to this core;
 		// loop so the ack sequence stays dense.
 	}
@@ -73,6 +82,29 @@ func (c *Core) tryDrainIdle() bool {
 	c.runMu.Unlock()
 	return true
 }
+
+// ScrubRange zeroes [addr, addr+n) for a clean step (Fig 2 of the
+// paper) and recycles the pages Mem.ZeroRange has parked, these and any
+// earlier ones. A hart may have passed its Window check just before
+// the scrub dropped a page and still be writing through it, so the
+// pages are released only after a barrier: every core acknowledges an
+// empty request at an instruction boundary, by which point each access
+// begun before the scrub has finished and every later one re-checks the
+// ZeroRange generation. The caller runs outside any hart (NoHart), as
+// the platforms' CleanRegion does.
+func (m *Machine) ScrubRange(addr, n uint64) error {
+	if err := m.Mem.ZeroRange(addr, n); err != nil {
+		return err
+	}
+	mark := m.Mem.Parked()
+	for _, c := range m.Cores {
+		m.RunOn(c.ID, NoHart, acknowledge)
+	}
+	m.Mem.Recycle(mark)
+	return nil
+}
+
+func acknowledge(*Core) {}
 
 // NoHart is the RunOn `from` value for callers not executing on any
 // simulated hart (Go-level untrusted-OS code, boot).

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -139,6 +140,60 @@ func TestIPIIdleCoreExecutesSynchronously(t *testing.T) {
 	})
 	if !ran {
 		t.Fatal("IPI to idle core did not execute synchronously")
+	}
+}
+
+// TestRunOnIdleCoreAllocatesOnlyClosure checks the mailbox reuses its
+// queue arrays: once warmed, a RunOn to an idle core allocates nothing
+// beyond the closure it posts.
+func TestRunOnIdleCoreAllocatesOnlyClosure(t *testing.T) {
+	m := loopMachine(t, 2)
+	n := 0
+	post := func() { m.RunOn(1, NoHart, func(*Core) { n++ }) }
+	post()
+	if got := testing.AllocsPerRun(100, post); got > 1 {
+		t.Fatalf("warmed RunOn allocates %.1f/op, want at most the closure", got)
+	}
+	if n != 102 {
+		t.Fatalf("ran %d requests, want 102", n)
+	}
+}
+
+// TestScrubRangeMakesRewriteAllocFree scrubs a page, which recycles it
+// after a barrier across idle cores, and writes it again: once warm, the
+// cycle must allocate nothing — the barrier's requests reuse the
+// mailbox arrays and the write materializes the recycled page.
+func TestScrubRangeMakesRewriteAllocFree(t *testing.T) {
+	m := loopMachine(t, 2)
+	pa := m.DRAM.Base(5)
+	cycle := func() {
+		m.ScrubRange(pa, mem.PageSize)
+		m.Mem.Store(pa, 8, 1)
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("scrub+recycle+rewrite allocates %.1f/op, want 0", got)
+	}
+}
+
+// TestIPIPostedFromRequestDrains posts to a core from inside a request
+// that core is executing: the new request lands in the other queue
+// array and must run in the same drain, with every ack counted.
+func TestIPIPostedFromRequestDrains(t *testing.T) {
+	m := loopMachine(t, 2)
+	var order []int
+	m.RunOn(1, NoHart, func(c *Core) {
+		order = append(order, 1)
+		m.PostIPI(1, func(*Core) { order = append(order, 3) })
+		order = append(order, 2)
+	})
+	m.RunOn(1, NoHart, func(*Core) { order = append(order, 4) })
+	if fmt.Sprint(order) != "[1 2 3 4]" {
+		t.Fatalf("request order %v, want [1 2 3 4]", order)
+	}
+	c := m.Cores[1]
+	if got := c.ipi.acked.Load(); got != 3 || c.ipi.posted != 3 {
+		t.Fatalf("acked %d of %d posted, want 3 of 3", got, c.ipi.posted)
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -70,10 +71,26 @@ type Phys struct {
 	codePages   []atomic.Uint64
 	onCodeWrite func()
 
-	// zeroGen invalidates Window pointer caches: it advances whenever
-	// ZeroRange may de-materialize pages, so a cached page pointer is
-	// never read after its page left the table.
+	// zeroGen invalidates Window pointer caches: ZeroRange advances it
+	// after taking pages out of the table, so every Window access that
+	// starts later refills through the table. An access that passed its
+	// check before the advance may still be running; that is why a
+	// dropped page waits in parked until Recycle.
 	zeroGen atomic.Uint64
+
+	// parked holds the pages ZeroRange took out of the table, in the
+	// order it dropped them; parkBase counts the pages that ever left
+	// the front of the list. Recycle moves them to free once its caller
+	// knows no access begun before the drop is still running. At most
+	// maxParked pages wait; further drops go to the GC.
+	parkMu   sync.Mutex
+	parked   []*[PageSize]byte
+	parkBase uint64
+
+	// free holds recycled pages for page to materialize again. It is
+	// per-Phys, so a page never moves between machines, and the GC
+	// reclaims what sits in it unused.
+	free sync.Pool
 
 	// refs counts, per page, how many snapshot/alias holders reference
 	// the page's contents (the monitor's enclave-snapshot subsystem:
@@ -230,18 +247,24 @@ func (m *Phys) cowDenies(addr, n uint64) bool {
 	return false
 }
 
-// page returns the backing page for ppn, materializing it if needed.
-// Two harts materializing the same page race through a compare-and-swap
-// and agree on one winner.
+// page returns the backing page for ppn, materializing it if needed
+// from a recycled page (see Recycle) or a fresh one. Two harts
+// materializing the same page race through a compare-and-swap and agree
+// on one winner; the loser's page, never published, goes back to the
+// free pool.
 func (m *Phys) page(ppn uint64) *[PageSize]byte {
 	if p := m.pages[ppn].Load(); p != nil {
 		return p
 	}
-	p := new([PageSize]byte)
+	p, _ := m.free.Get().(*[PageSize]byte)
+	if p == nil {
+		p = new([PageSize]byte)
+	}
 	if m.pages[ppn].CompareAndSwap(nil, p) {
 		m.touched.Add(1)
 		return p
 	}
+	m.free.Put(p)
 	return m.pages[ppn].Load()
 }
 
@@ -363,8 +386,13 @@ func (m *Phys) Store(addr uint64, width int, val uint64) error {
 
 // ZeroRange clears [addr, addr+n). The security monitor uses this when
 // cleaning a memory resource before re-allocation (Fig 2 of the paper).
-// Whole pages are de-materialized, so cleaning a region also returns
-// its host allocation to the page table's sparse baseline.
+// Whole pages are de-materialized, so TouchedPages falls back to the
+// sparse baseline; partial pages are zeroed in place.
+//
+// Each dropped page is parked, not freed: a hart may have checked its
+// Window against the old zeroGen just before the drop and still be
+// writing through it. Recycle later clears parked pages and hands them
+// to the free pool, so re-materializing them allocates nothing.
 func (m *Phys) ZeroRange(addr, n uint64) error {
 	if err := m.checkRange(addr, n); err != nil {
 		return err
@@ -373,7 +401,10 @@ func (m *Phys) ZeroRange(addr, n uint64) error {
 		return nil
 	}
 	m.noteWrite(addr, n)
-	m.zeroGen.Add(1)
+	// Holding parkMu across the loop keeps Parked from counting a page
+	// before the zeroGen advance below.
+	m.parkMu.Lock()
+	defer m.parkMu.Unlock()
 	end := addr + n
 	for addr < end {
 		ppn, off := addr>>PageBits, addr&PageMask
@@ -384,8 +415,11 @@ func (m *Phys) ZeroRange(addr, n uint64) error {
 		if off == 0 && chunk == PageSize {
 			// A whole page reads as zero once out of the table; dropping
 			// it keeps host memory proportional to live pages.
-			if m.pages[ppn].Swap(nil) != nil {
+			if p := m.pages[ppn].Swap(nil); p != nil {
 				m.touched.Add(-1)
+				if len(m.parked) < maxParked {
+					m.parked = append(m.parked, p)
+				}
 			}
 		} else if p := m.pages[ppn].Load(); p != nil {
 			for i := off; i < off+chunk; i++ {
@@ -395,7 +429,48 @@ func (m *Phys) ZeroRange(addr, n uint64) error {
 		// Untouched pages are already zero; skip materializing them.
 		addr += chunk
 	}
+	m.zeroGen.Add(1)
 	return nil
+}
+
+// maxParked bounds the pages ZeroRange keeps for Recycle (1 MiB of
+// host memory). Scrubs with no Recycle between them, such as
+// the monitor's single-page zeroing outside clean_region, cannot grow
+// the list past it.
+const maxParked = 256
+
+// Parked returns a mark covering every page ZeroRange has parked so
+// far. Pass it to Recycle once no access begun before the call can
+// still be running.
+func (m *Phys) Parked() uint64 {
+	m.parkMu.Lock()
+	defer m.parkMu.Unlock()
+	return m.parkBase + uint64(len(m.parked))
+}
+
+// Recycle clears the pages parked up to mark and moves them into the
+// free pool, where page materializes them again. Clearing here, not in
+// ZeroRange, also wipes what a store that was still running at the
+// drop left in the page. The caller guarantees that no access which
+// found one of them through the page table or a Window before mark was
+// taken is still running; for the machine's harts,
+// machine.ScrubRange gets that from an instruction-boundary barrier on
+// every core.
+func (m *Phys) Recycle(mark uint64) {
+	m.parkMu.Lock()
+	defer m.parkMu.Unlock()
+	if mark <= m.parkBase {
+		return
+	}
+	k := min(mark-m.parkBase, uint64(len(m.parked)))
+	for _, p := range m.parked[:k] {
+		clear(p[:])
+		m.free.Put(p)
+	}
+	rest := copy(m.parked, m.parked[k:])
+	clear(m.parked[rest:])
+	m.parked = m.parked[:rest]
+	m.parkBase += k
 }
 
 // ZeroPage clears the page containing addr.

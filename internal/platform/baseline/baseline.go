@@ -55,7 +55,7 @@ func (Platform) RefreshOSRegions(c *machine.Core, osRegions dram.Bitmap) error {
 
 // CleanRegion still scrubs contents (the monitor logic requires it).
 func (Platform) CleanRegion(m *machine.Machine, r int) error {
-	if err := m.Mem.ZeroRange(m.DRAM.Base(r), m.DRAM.RegionSize()); err != nil {
+	if err := m.ScrubRange(m.DRAM.Base(r), m.DRAM.RegionSize()); err != nil {
 		return err
 	}
 	l2Line := m.L2.Config().LineBits

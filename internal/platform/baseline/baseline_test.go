@@ -1,12 +1,16 @@
 package baseline
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"sanctorum/internal/asm"
 	"sanctorum/internal/hw/machine"
 	"sanctorum/internal/hw/mem"
 	"sanctorum/internal/hw/pt"
 	"sanctorum/internal/hw/tlb"
+	"sanctorum/internal/isa"
 	"sanctorum/internal/os"
 	"sanctorum/internal/sm"
 	"sanctorum/internal/sm/api"
@@ -144,5 +148,137 @@ func TestUnifiedABIOnBaseline(t *testing.T) {
 	resp := mon.Dispatch(api.Request{Caller: built.EID, Call: api.CallMyEnclaveID})
 	if resp.Status != api.ErrUnauthorized {
 		t.Fatalf("forged enclave caller: %v, want ErrUnauthorized", resp.Status)
+	}
+}
+
+// TestCleanRegionWhileHartsWrite runs clean_region over and over on a
+// region that a hart on core 0 keeps storing into through its TLB. The
+// baseline enforces nothing, so neither the block nor the shootdown
+// stops that hart. Meanwhile the hart on core 1 keeps storing into four
+// pages of a second region, which is cleaned too, so both harts keep
+// materializing pages from the recycled pool. Each hart writes only one
+// word per page, at an offset the other never writes; a word of the
+// other hart's in a page means a store went through a stale pointer
+// into a recycled page. Under -race the run also checks that every
+// hand-off of a recycled page is synchronized.
+func TestCleanRegionWhileHartsWrite(t *testing.T) {
+	m := newMachine(t)
+	mfr := boot.NewManufacturer("acme", []byte("seed"))
+	id, err := mfr.Provision("dev", []byte("root-secret")).Boot([]byte("baseline clean race"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := sm.New(sm.Config{
+		Machine: m, Platform: New(), Identity: id,
+		SMRegions: []int{m.DRAM.RegionCount - 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const codeRegion, r, s = 1, 2, 3
+	const pattern = 0x5A5A5A5A5A5A5A5A
+	nextPPN := m.DRAM.Base(codeRegion) >> mem.PageBits
+	alloc := func() (uint64, error) { nextPPN++; return nextPPN - 1, nil }
+	const codeVA, dataVA = uint64(0x10000), uint64(0x40000)
+	// Core 0 stores the pattern at offset 8 of one page of r; core 1
+	// stores a running count at offset 0 of four pages of s.
+	progs := []*asm.Program{
+		asm.New().
+			Li64(isa.RegS0, dataVA).
+			Li64(isa.RegT1, pattern).
+			Label("loop").
+			I(isa.OpSD, 0, isa.RegS0, isa.RegT1, 8).
+			J("loop"),
+		asm.New().
+			Li64(isa.RegS0, dataVA).
+			Li64(isa.RegS1, dataVA+mem.PageSize).
+			Li64(isa.RegA0, dataVA+2*mem.PageSize).
+			Li64(isa.RegA1, dataVA+3*mem.PageSize).
+			Label("loop").
+			I(isa.OpADDI, isa.RegT0, isa.RegT0, 0, 1).
+			I(isa.OpSD, 0, isa.RegS0, isa.RegT0, 0).
+			I(isa.OpSD, 0, isa.RegS1, isa.RegT0, 0).
+			I(isa.OpSD, 0, isa.RegA0, isa.RegT0, 0).
+			I(isa.OpSD, 0, isa.RegA1, isa.RegT0, 0).
+			J("loop"),
+	}
+	dataPages := [][]uint64{{m.DRAM.Base(r)}, nil}
+	for i := uint64(0); i < 4; i++ {
+		dataPages[1] = append(dataPages[1], m.DRAM.Base(s)+i*mem.PageSize)
+	}
+	for i, prog := range progs {
+		b, err := pt.NewBuilder(m.Mem, alloc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bin, err := prog.Assemble(codeVA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codePPN, _ := alloc()
+		if err := m.Mem.WriteBytes(codePPN<<mem.PageBits, bin); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Map(codeVA, codePPN<<mem.PageBits, pt.R|pt.X); err != nil {
+			t.Fatal(err)
+		}
+		for j, pa := range dataPages[i] {
+			if err := b.Map(dataVA+uint64(j)*mem.PageSize, pa, pt.R|pt.W); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := m.Cores[i]
+		c.Satp = b.Root
+		c.CPU.Mode = isa.PrivS
+		c.CPU.PC = codeVA
+	}
+
+	m.SetConcurrent(true)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for i := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if _, err := m.Run(i, 2000); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	call := func(c api.Call, args ...uint64) {
+		req := api.Request{Caller: api.DomainOS, Call: c}
+		copy(req.Args[:], args)
+		if st := mon.Dispatch(req).Status; st != api.OK {
+			t.Errorf("call %v%v: %v", c, args, st)
+		}
+	}
+	// The word of each page that its own hart never writes.
+	foreign := func(pa uint64) uint64 {
+		if m.DRAM.RegionOf(pa) == r {
+			return pa
+		}
+		return pa + 8
+	}
+	for round := 0; round < 40 && !t.Failed(); round++ {
+		for _, region := range []uint64{r, s} {
+			call(api.CallBlockRegion, region)
+			call(api.CallCleanRegion, region)
+			call(api.CallGrantRegion, region, api.DomainOS)
+		}
+		for _, pa := range append(dataPages[0], dataPages[1]...) {
+			if v, _ := m.Mem.Load(foreign(pa), 8); v != 0 {
+				t.Errorf("round %d: page %#x holds the other hart's word %#x", round, pa, v)
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	for i, c := range m.Cores[:len(progs)] {
+		if c.CPU.Cycles == 0 {
+			t.Errorf("core %d never ran", i)
+		}
 	}
 }

@@ -155,7 +155,7 @@ func (p *Platform) RefreshOSRegions(c *machine.Core, osRegions dram.Bitmap) erro
 // instruction boundaries.
 func (p *Platform) CleanRegion(m *machine.Machine, r int) error {
 	base := m.DRAM.Base(r)
-	if err := m.Mem.ZeroRange(base, m.DRAM.RegionSize()); err != nil {
+	if err := m.ScrubRange(base, m.DRAM.RegionSize()); err != nil {
 		return err
 	}
 	l2Line := m.L2.Config().LineBits

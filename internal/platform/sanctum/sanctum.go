@@ -68,11 +68,13 @@ func (Platform) RefreshOSRegions(c *machine.Core, osRegions dram.Bitmap) error {
 func (Platform) CleanRegion(m *machine.Machine, r int) error {
 	base := m.DRAM.Base(r)
 	size := m.DRAM.RegionSize()
-	if err := m.Mem.ZeroRange(base, size); err != nil {
+	if err := m.ScrubRange(base, size); err != nil {
 		return err
 	}
+	// The page-colored LLC gives region r its own set group, so only
+	// that partition can hold r's lines.
 	l2Line := m.L2.Config().LineBits
-	m.L2.FlushIf(func(lineAddr uint64) bool {
+	m.L2.FlushPartitionIf(r, func(lineAddr uint64) bool {
 		return m.DRAM.RegionOf(lineAddr<<l2Line) == r
 	})
 	for _, c := range m.Cores {

@@ -73,6 +73,14 @@ func TestCleanRegionScrubsMemoryAndCaches(t *testing.T) {
 	m.L2.Access(base + 100)
 	m.Cores[0].L1.Access(base + 100)
 	m.Cores[1].L1.Access(base + 100)
+	// Lines of the neighbouring regions, and of the region whose L2
+	// partition is scanned first, must survive the clean.
+	others := []uint64{m.DRAM.Base(0) + 64, m.DRAM.Base(r-1) + 100, m.DRAM.Base(r+1) + 100}
+	for _, pa := range others {
+		m.L2.Access(pa)
+		m.Cores[0].L1.Access(pa)
+	}
+	live := m.L2.Live()
 
 	if err := p.CleanRegion(m, r); err != nil {
 		t.Fatal(err)
@@ -86,6 +94,14 @@ func TestCleanRegionScrubsMemoryAndCaches(t *testing.T) {
 	}
 	if m.L2.Probe(base + 100) {
 		t.Fatal("L2 line survived cleaning")
+	}
+	if got := m.L2.Live(); got != live-1 {
+		t.Fatalf("L2 live lines %d after cleaning, want %d", got, live-1)
+	}
+	for _, pa := range others {
+		if !m.L2.Probe(pa) || !m.Cores[0].L1.Probe(pa) {
+			t.Fatalf("cleaning region %d dropped line %#x of region %d", r, pa, m.DRAM.RegionOf(pa))
+		}
 	}
 	for i, c := range m.Cores {
 		if c.L1.Probe(base + 100) {

@@ -169,11 +169,11 @@ func (mon *Monitor) blockRegionAs(owner uint64, r int) api.Error {
 
 // cleanRegion scrubs a blocked region and makes it available
 // (clean(resource) by the OS in Fig 2, CallCleanRegion). The monitor
-// zeroes the region, flushes its cache footprint, and shoots down TLB
-// entries on every core — the cross-core work travels as
-// inter-processor mailbox requests that running harts acknowledge at
-// instruction boundaries — before the region can reach a new protection
-// domain. OS (no-hart) context only.
+// shoots down TLB entries into the region on every core, then zeroes
+// the region, recycles its pages and flushes its cache footprint,
+// before the region can reach a new protection domain. The cross-core
+// work travels as inter-processor mailbox requests that running harts
+// acknowledge at instruction boundaries. OS (no-hart) context only.
 func (mon *Monitor) cleanRegion(r int) api.Error {
 	if r < 0 || r >= len(mon.regions) {
 		return api.ErrInvalidValue
@@ -194,10 +194,15 @@ func (mon *Monitor) cleanRegion(r int) api.Error {
 	if mon.machine.Mem.RangeHasRefs(layout.Base(r), layout.RegionSize()) {
 		return api.ErrInvalidState
 	}
+	// Shoot down before scrubbing. Each core acknowledges after the view
+	// refresh the block posted ahead of it, so once every core has, no
+	// hart holds a translation into r, and an OS hart on Sanctum cannot
+	// walk a new one: nothing it writes through a stale mapping survives
+	// the scrub into the next owner.
+	mon.plat.ShootdownRegion(mon.machine, r)
 	if err := mon.plat.CleanRegion(mon.machine, r); err != nil {
 		return api.ErrInvalidValue
 	}
-	mon.plat.ShootdownRegion(mon.machine, r)
 	rm.state, rm.owner = RegionAvailable, api.DomainOS
 
 	mon.refreshViews()

@@ -2,6 +2,7 @@ package sm
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -17,8 +18,7 @@ import (
 // mockPlatform is a no-isolation platform for white-box monitor tests;
 // the real backends are exercised by internal/integration.
 type mockPlatform struct {
-	cleaned    []int
-	shotdown   []int
+	events     []string // "shootdown r" and "clean r", in call order
 	enterCalls int
 }
 
@@ -40,11 +40,11 @@ func (p *mockPlatform) RefreshOSRegions(c *machine.Core, b dram.Bitmap) error {
 	return nil
 }
 func (p *mockPlatform) CleanRegion(m *machine.Machine, r int) error {
-	p.cleaned = append(p.cleaned, r)
+	p.events = append(p.events, fmt.Sprint("clean ", r))
 	return m.Mem.ZeroRange(m.DRAM.Base(r), m.DRAM.RegionSize())
 }
 func (p *mockPlatform) ShootdownRegion(m *machine.Machine, r int) {
-	p.shotdown = append(p.shotdown, r)
+	p.events = append(p.events, fmt.Sprint("shootdown ", r))
 }
 
 type fixture struct {
@@ -236,6 +236,11 @@ func TestRegionBlockCleanCycle(t *testing.T) {
 	}
 	if st := f.CleanRegion(5); st != api.OK {
 		t.Fatalf("clean: %v", st)
+	}
+	// block → shootdown → clean: no translation into the region is
+	// left when the scrub runs.
+	if got := fmt.Sprint(f.plat.events); got != "[shootdown 5 clean 5]" {
+		t.Fatalf("platform calls %s, want the shootdown before the clean", got)
 	}
 	if st, _, _ := f.RegionInfo(5); st != RegionAvailable {
 		t.Fatalf("state after clean: %v", st)
