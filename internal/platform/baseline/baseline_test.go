@@ -235,19 +235,28 @@ func TestCleanRegionWhileHartsWrite(t *testing.T) {
 
 	m.SetConcurrent(true)
 	var stop atomic.Bool
-	var wg sync.WaitGroup
+	// Each hart reports in after its first slice, and the rounds start
+	// only once both have: otherwise, on a loaded host, all 40 rounds
+	// can finish before a hart goroutine is first scheduled.
+	var wg, started sync.WaitGroup
 	for i := range progs {
 		wg.Add(1)
+		started.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				if _, err := m.Run(i, 2000); err != nil {
+			for first := true; !stop.Load(); first = false {
+				_, err := m.Run(i, 2000)
+				if first {
+					started.Done()
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}
 			}
 		}()
 	}
+	started.Wait()
 	call := func(c api.Call, args ...uint64) {
 		req := api.Request{Caller: api.DomainOS, Call: c}
 		copy(req.Args[:], args)

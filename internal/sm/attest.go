@@ -48,22 +48,16 @@ func (mon *Monitor) fieldBytes(f api.Field, caller *Enclave) ([]byte, api.Error)
 			binary.LittleEndian.PutUint64(out[40:], 1)
 		}
 		return out, api.OK
-	case api.FieldEnclaveRings:
-		// Ring id[8] ‖ role[8] per ring the caller is an endpoint of,
-		// in creation order — how a cloned worker, whose measured image
-		// cannot embed per-clone names, discovers its own rings.
+	case api.FieldEnclaveRings, api.FieldEnclaveGrants:
+		// Ring id[8] ‖ role[8] per ring, or grant id[8] ‖ role[8] ‖
+		// byte size[8] per grant, the caller is an endpoint of, in
+		// creation order — how a cloned worker, whose measured image
+		// cannot embed per-clone names, discovers its own rings and the
+		// shared buffer it should bulk_map.
 		if caller == nil {
 			return nil, api.ErrUnauthorized
 		}
-		return mon.ringBytesForEnclave(caller.ID), api.OK
-	case api.FieldEnclaveGrants:
-		// Grant id[8] ‖ role[8] ‖ byte size[8] per grant the caller is
-		// an endpoint of, in creation order — how a cloned worker
-		// discovers the shared buffer it should bulk_map.
-		if caller == nil {
-			return nil, api.ErrUnauthorized
-		}
-		return mon.grantBytesForEnclave(caller.ID), api.OK
+		return mon.pairBytes(caller.ID, f == api.FieldEnclaveGrants), api.OK
 	default:
 		return nil, api.ErrInvalidValue
 	}
@@ -86,8 +80,8 @@ func (mon *Monitor) attestSign(e *Enclave, inVA, inLen uint64) ([]byte, api.Erro
 	if inLen == 0 || inLen > maxSignInput {
 		return nil, api.ErrInvalidValue
 	}
-	data, ok := mon.readEnclave(e, inVA, int(inLen))
-	if !ok {
+	data := make([]byte, inLen)
+	if !mon.readEnclave(e, inVA, data) {
 		return nil, api.ErrInvalidValue
 	}
 	return ed25519.Sign(mon.id.AttestPriv, data), api.OK
@@ -101,11 +95,11 @@ func (mon *Monitor) attestSign(e *Enclave, inVA, inLen uint64) ([]byte, api.Erro
 
 // kaDerive writes the X25519 public share for an enclave private scalar.
 func (mon *Monitor) kaDerive(e *Enclave, privVA, outVA uint64) api.Error {
-	scalar, ok := mon.readEnclave(e, privVA, 32)
-	if !ok {
+	var scalar [32]byte
+	if !mon.readEnclave(e, privVA, scalar[:]) {
 		return api.ErrInvalidValue
 	}
-	priv, err := ecdh.X25519().NewPrivateKey(scalar)
+	priv, err := ecdh.X25519().NewPrivateKey(scalar[:])
 	if err != nil {
 		return api.ErrInvalidValue
 	}
@@ -118,19 +112,15 @@ func (mon *Monitor) kaDerive(e *Enclave, privVA, outVA uint64) api.Error {
 // kaCombine derives the session key from the enclave's private scalar
 // and a peer public share.
 func (mon *Monitor) kaCombine(e *Enclave, privVA, peerVA, outVA uint64) api.Error {
-	scalar, ok := mon.readEnclave(e, privVA, 32)
-	if !ok {
+	var scalar, peerBytes [32]byte
+	if !mon.readEnclave(e, privVA, scalar[:]) || !mon.readEnclave(e, peerVA, peerBytes[:]) {
 		return api.ErrInvalidValue
 	}
-	peerBytes, ok := mon.readEnclave(e, peerVA, 32)
-	if !ok {
-		return api.ErrInvalidValue
-	}
-	priv, err := ecdh.X25519().NewPrivateKey(scalar)
+	priv, err := ecdh.X25519().NewPrivateKey(scalar[:])
 	if err != nil {
 		return api.ErrInvalidValue
 	}
-	peer, err := ecdh.X25519().NewPublicKey(peerBytes)
+	peer, err := ecdh.X25519().NewPublicKey(peerBytes[:])
 	if err != nil {
 		return api.ErrInvalidValue
 	}
@@ -138,7 +128,7 @@ func (mon *Monitor) kaCombine(e *Enclave, privVA, peerVA, outVA uint64) api.Erro
 	if err != nil {
 		return api.ErrInvalidValue
 	}
-	key := kdf.SessionKey(secret, priv.PublicKey().Bytes(), peerBytes)
+	key := kdf.SessionKey(secret, priv.PublicKey().Bytes(), peerBytes[:])
 	if !mon.writeEnclave(e, outVA, key) {
 		return api.ErrInvalidValue
 	}
@@ -150,15 +140,12 @@ func (mon *Monitor) macService(e *Enclave, keyVA, msgVA, msgLen, outVA uint64) a
 	if msgLen == 0 || msgLen > maxSignInput {
 		return api.ErrInvalidValue
 	}
-	key, ok := mon.readEnclave(e, keyVA, 32)
-	if !ok {
+	var key [32]byte
+	msg := make([]byte, msgLen)
+	if !mon.readEnclave(e, keyVA, key[:]) || !mon.readEnclave(e, msgVA, msg) {
 		return api.ErrInvalidValue
 	}
-	msg, ok := mon.readEnclave(e, msgVA, int(msgLen))
-	if !ok {
-		return api.ErrInvalidValue
-	}
-	tag := kdf.MAC(key, msg)
+	tag := kdf.MAC(key[:], msg)
 	if !mon.writeEnclave(e, outVA, tag[:]) {
 		return api.ErrInvalidValue
 	}

@@ -27,10 +27,15 @@ package sm
 // it — they use the dead/inflight atomics, ordered so the two cannot
 // both win: send publishes inflight before checking dead, revoke
 // publishes dead before checking inflight (both sequentially
-// consistent), so either the send sees the revoke and aborts, or the
-// revoke sees the send's descriptors and refuses. This keeps grant
-// locks out of the ring lock order entirely: a ring-transaction holder
-// never waits on a grant.
+// consistent), so either the send sees the revoke and backs out with
+// ErrRetry, or the revoke sees the send's descriptors and refuses.
+// This keeps grant locks out of the ring lock order entirely: a
+// ring-transaction holder never waits on a grant.
+//
+// bulk_send and bulk_recv are ring_send and ring_recv with a grant:
+// hRingSend and hRingRecv (ring.go) run the grant prelude below
+// (admit, settle, the endpoint check and the grant's head run) around
+// the one ring path.
 
 import (
 	"encoding/binary"
@@ -47,13 +52,9 @@ import (
 // like every monitor object — by a free SM metadata page.
 type Grant struct {
 	mu sync.Mutex
-
-	ID       uint64
-	BasePA   uint64
-	Pages    uint64
-	Producer uint64 // api.DomainOS or an eid
-	Consumer uint64
-	seq      uint64 // creation order, for FieldEnclaveGrants
+	endpointPair
+	BasePA uint64
+	Pages  uint64
 
 	// maps records where each enclave endpoint bulk_mapped the buffer
 	// (eid → va), guarded by mu. The OS side never appears here: the
@@ -69,12 +70,6 @@ type Grant struct {
 
 // bytes returns the grant's size in bytes.
 func (g *Grant) bytes() uint64 { return g.Pages * mem.PageSize }
-
-// isEndpoint reports whether who (DomainOS or an eid) is one of the
-// grant's fixed endpoints.
-func (g *Grant) isEndpoint(who uint64) bool {
-	return who == g.Producer || who == g.Consumer
-}
 
 // lookupGrant fetches and transaction-locks a grant; contention fails
 // the transaction with ErrRetry (§V-A). The dead re-check closes the
@@ -110,10 +105,9 @@ func (mon *Monitor) peekGrant(id uint64) *Grant {
 // bulkGrant implements CallBulkGrant (OS-domain): register a grant over
 // [basePA, basePA+pages·4096) in OS-owned memory between a fixed
 // producer and consumer, pinning every page with an alias reference.
-// Endpoint enclaves are held under their transaction locks while the
-// grant registers — paired with deleteEnclave's endpoint guard, the
-// same exclusion ringCreate uses, so a grant can never attach to an
-// enclave mid-deletion and survive it.
+// The grant registers through createPair, the same endpoint exclusion
+// rings use, so a grant can never attach to an enclave mid-deletion and
+// survive it.
 func (mon *Monitor) bulkGrant(grantID, basePA, pages, producer, consumer uint64) api.Error {
 	if pages == 0 || pages > api.BulkMaxPages {
 		return api.ErrInvalidValue
@@ -128,42 +122,17 @@ func (mon *Monitor) bulkGrant(grantID, basePA, pages, producer, consumer uint64)
 	if !mon.osOwnsRange(basePA, size) {
 		return api.ErrInvalidValue
 	}
-	endpoints := []uint64{producer}
-	if consumer != producer {
-		endpoints = append(endpoints, consumer)
-	}
-	for _, who := range endpoints {
-		if who == api.DomainOS {
-			continue
+	st := mon.createPair(grantID, producer, consumer, func(p endpointPair) {
+		for pg := uint64(0); pg < pages; pg++ {
+			mon.machine.Mem.Retain(basePA + pg*mem.PageSize)
 		}
-		e, st := mon.lookupEnclave(who)
-		if st != api.OK {
-			return st
-		}
-		defer e.mu.Unlock()
-	}
-	mon.objMu.Lock()
-	defer mon.objMu.Unlock()
-	if st := mon.allocMetaPage(grantID); st != api.OK {
-		return st
-	}
-	for p := uint64(0); p < pages; p++ {
-		mon.machine.Mem.Retain(basePA + p*mem.PageSize)
-	}
-	mon.grantSeq++
-	mon.grants[grantID] = &Grant{
-		ID:       grantID,
-		BasePA:   basePA,
-		Pages:    pages,
-		Producer: producer,
-		Consumer: consumer,
-		seq:      mon.grantSeq,
-		maps:     make(map[uint64]uint64),
-	}
-	if t := mon.tele; t != nil {
+		mon.grants[grantID] = &Grant{endpointPair: p, BasePA: basePA, Pages: pages,
+			maps: make(map[uint64]uint64)}
+	})
+	if t := mon.tele; t != nil && st == api.OK {
 		t.bulkGrants.Add(1)
 	}
-	return api.OK
+	return st
 }
 
 // hBulkMap implements CallBulkMap (enclave trap context only): the
@@ -314,234 +283,95 @@ func (mon *Monitor) bulkRevoke(grantID uint64) api.Error {
 	return api.OK
 }
 
-// bulkDesc is one parsed scatter-gather descriptor.
-type bulkDesc struct{ off, ln uint64 }
-
 // parseBulkDescs validates one 64-byte descriptor message against a
 // grant's byte size: the BulkTag anchor, a descriptor count in
 // 1..BulkMaxDescs, and per descriptor length > 0, no offset+length
 // wraparound, offset+length within the grant, and no pairwise overlap
-// inside the message. Returns the descriptors and their total byte
-// count. Trailing payload bytes beyond the last descriptor are
+// inside the message. Returns the descriptor count and their total
+// byte count. Trailing payload bytes beyond the last descriptor are
 // application-defined (a bulk server reads its opcode there) and not
 // the monitor's concern.
-func parseBulkDescs(payload []byte, grantBytes uint64) (descs [api.BulkMaxDescs]bulkDesc, n int, total uint64, st api.Error) {
+func parseBulkDescs(payload []byte, grantBytes uint64) (n int, total uint64, st api.Error) {
 	if len(payload) < api.RingMsgSize {
-		return descs, 0, 0, api.ErrInvalidValue
+		return 0, 0, api.ErrInvalidValue
 	}
 	if binary.LittleEndian.Uint64(payload) != api.BulkTag {
-		return descs, 0, 0, api.ErrInvalidValue
+		return 0, 0, api.ErrInvalidValue
 	}
 	nd := binary.LittleEndian.Uint64(payload[8:])
 	if nd == 0 || nd > api.BulkMaxDescs {
-		return descs, 0, 0, api.ErrInvalidValue
+		return 0, 0, api.ErrInvalidValue
 	}
+	var offs, lens [api.BulkMaxDescs]uint64
 	n = int(nd)
 	for i := 0; i < n; i++ {
 		off := binary.LittleEndian.Uint64(payload[16+16*i:])
 		ln := binary.LittleEndian.Uint64(payload[24+16*i:])
 		if ln == 0 {
-			return descs, 0, 0, api.ErrInvalidValue
+			return 0, 0, api.ErrInvalidValue
 		}
 		if off+ln < off {
-			return descs, 0, 0, api.ErrInvalidValue // wraparound
+			return 0, 0, api.ErrInvalidValue // wraparound
 		}
 		if off+ln > grantBytes {
-			return descs, 0, 0, api.ErrInvalidValue // out of bounds
+			return 0, 0, api.ErrInvalidValue // out of bounds
 		}
 		for j := 0; j < i; j++ {
-			if off < descs[j].off+descs[j].ln && descs[j].off < off+ln {
-				return descs, 0, 0, api.ErrInvalidValue // overlap
+			if off < offs[j]+lens[j] && offs[j] < off+ln {
+				return 0, 0, api.ErrInvalidValue // overlap
 			}
 		}
-		descs[i] = bulkDesc{off: off, ln: ln}
+		offs[i], lens[i] = off, ln
 		total += ln
 	}
-	return descs, n, total, api.OK
+	return n, total, api.OK
 }
 
-// hBulkSend is the dual-domain scatter-gather send handler: CallRingSend
-// with every payload validated as a descriptor list into the named
-// grant before anything is published, and the queued descriptors
-// counted in-flight on the grant until received. The sender must be
-// both the ring's producer (checked by the ring transaction) and a
-// grant endpoint (checked here).
-func hBulkSend(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	n, okCount := batchLen(req.Args[2])
-	if !okCount {
-		return fail(api.ErrInvalidValue)
-	}
-	g := mon.peekGrant(req.Args[3])
-	if g == nil {
-		return fail(api.ErrInvalidValue)
-	}
-	var sender uint64
-	var meas [32]byte
-	var msgs []byte
-	from := machine.NoHart
-	if ctx != nil {
-		from = ctx.core.ID
-		sender, meas = ctx.enclave.ID, ctx.enclave.Measurement
-		var okRead bool
-		msgs, okRead = mon.readEnclave(ctx.enclave, req.Args[1], n*api.RingMsgSize)
-		if !okRead {
-			return fail(api.ErrInvalidValue)
-		}
-	} else {
-		sender = api.DomainOS
-		srcPA := req.Args[1]
-		if !mon.osOwnsRange(srcPA, uint64(n)*api.RingMsgSize) {
-			return fail(api.ErrInvalidValue)
-		}
-		msgs = make([]byte, n*api.RingMsgSize)
-		if err := mon.machine.Mem.ReadBytes(srcPA, msgs); err != nil {
-			return fail(api.ErrInvalidValue)
-		}
-	}
+// admit is bulk_send's grant prelude (hRingSend, ring.go), run on the
+// staged batch before the ring transaction. The sender must be a grant
+// endpoint (and, checked by the ring transaction, the ring's
+// producer). Every message must parse as a descriptor list inside the
+// grant before anything is published: a bad descriptor in message k
+// must not leave messages 0..k-1 queued. The batch is then published
+// in flight before dead is checked, the revoke protocol's mirror
+// image: a racing revoke either sees the count and refuses, or has
+// marked the grant dead first and the send backs out. It backs out
+// with ErrRetry, not ErrInvalidValue: the revoke may yet see this
+// send's count and roll dead back, leaving the grant live, so nothing
+// is known except that nothing changed — a retry ends in OK or, once
+// the revoke has won, ErrInvalidValue.
+func (g *Grant) admit(sender uint64, msgs []byte) api.Error {
 	if !g.isEndpoint(sender) {
-		return fail(api.ErrUnauthorized)
+		return api.ErrUnauthorized
 	}
-	// Validate every message before publishing any: a bad descriptor in
-	// message k must not leave messages 0..k-1 queued.
-	var msgBytes [api.RingMaxBatch]uint64
-	var msgDescs [api.RingMaxBatch]uint64
-	size := g.bytes()
-	for i := 0; i < n; i++ {
-		_, nd, total, st := parseBulkDescs(msgs[i*api.RingMsgSize:(i+1)*api.RingMsgSize], size)
-		if st != api.OK {
-			return fail(st)
+	for i := 0; i < len(msgs); i += api.RingMsgSize {
+		if _, _, st := parseBulkDescs(msgs[i:], g.bytes()); st != api.OK {
+			return st
 		}
-		msgBytes[i] = total
-		msgDescs[i] = uint64(nd)
 	}
-	// Publish in-flight before checking dead (the revoke protocol's
-	// mirror image): a racing revoke either sees our count and refuses,
-	// or has already marked the grant dead and we abort here.
-	g.inflight.Add(int64(n))
+	n := int64(len(msgs) / api.RingMsgSize)
+	g.inflight.Add(n)
 	if g.dead.Load() {
-		g.inflight.Add(-int64(n))
-		return fail(api.ErrInvalidValue)
+		g.inflight.Add(-n)
+		return api.ErrRetry
 	}
-	sent, st := mon.ringEnqueue(from, req.Args[0], sender, meas, g.ID, n,
-		func(i int, dst []byte) api.Error {
-			copy(dst, msgs[i*api.RingMsgSize:])
-			return api.OK
-		})
-	if st != api.OK {
-		g.inflight.Add(-int64(n))
-		return fail(st)
-	}
-	if int(sent) < n {
-		g.inflight.Add(-int64(n - int(sent))) // ring filled up mid-batch
-	}
-	if t := mon.tele; t != nil {
-		var total uint64
-		for i := uint64(0); i < sent; i++ {
-			total += msgBytes[i]
-			t.bulkDescs.ObserveOn(from, msgDescs[i])
-		}
-		t.bulkBytes.Add(from, total)
-	}
-	return ok(sent)
+	return api.OK
 }
 
-// hBulkRecv is the dual-domain scatter-gather recv handler: drain the
-// run of descriptor records for the named grant at the ring head
-// (stopping early at a plain message or one for another grant) and
-// release their in-flight pins. The caller must be both the ring's
-// consumer and a grant endpoint.
-func hBulkRecv(mon *Monitor, req api.Request, ctx *callContext) api.Response {
-	max, okCount := batchLen(req.Args[2])
-	if !okCount {
-		return fail(api.ErrInvalidValue)
+// settle is bulk_send's epilogue: it releases the in-flight count of
+// the admitted messages the ring did not take (all of them on a
+// refused send, the tail when the ring filled up mid-batch) and
+// records the descriptors and bytes of the sent ones.
+func (g *Grant) settle(t *monTelemetry, from int, msgs []byte, sent int) {
+	g.inflight.Add(int64(sent - len(msgs)/api.RingMsgSize))
+	if t == nil || sent == 0 {
+		return
 	}
-	g := mon.peekGrant(req.Args[3])
-	if g == nil {
-		return fail(api.ErrInvalidValue)
+	var total uint64
+	for i := 0; i < sent; i++ {
+		nd, bytes, _ := parseBulkDescs(msgs[i*api.RingMsgSize:], g.bytes())
+		t.bulkDescs.ObserveOn(from, uint64(nd))
+		total += bytes
 	}
-	var caller uint64 = api.DomainOS
-	if ctx != nil {
-		caller = ctx.enclave.ID
-	}
-	if !g.isEndpoint(caller) {
-		return fail(api.ErrUnauthorized)
-	}
-	r, st := mon.lookupRing(req.Args[0])
-	if st != api.OK {
-		return fail(st)
-	}
-	defer r.mu.Unlock()
-	if r.Consumer != caller {
-		return fail(api.ErrUnauthorized)
-	}
-	if r.count == 0 {
-		return fail(api.ErrInvalidState)
-	}
-	n := r.headRunLocked(g.ID, max)
-	if n == 0 {
-		return fail(api.ErrInvalidValue) // head message is not this grant's
-	}
-	out := r.ringRecords(n)
-	if ctx != nil {
-		if !mon.writeEnclave(ctx.enclave, req.Args[1], out) {
-			return fail(api.ErrInvalidValue)
-		}
-	} else {
-		if !mon.osOwnsRange(req.Args[1], uint64(len(out))) {
-			return fail(api.ErrInvalidValue)
-		}
-		if err := mon.machine.Mem.WriteBytes(req.Args[1], out); err != nil {
-			return fail(api.ErrInvalidValue)
-		}
-	}
-	r.popLocked(n)
-	g.inflight.Add(-int64(n))
-	if t := mon.tele; t != nil {
-		shard := 0
-		if ctx != nil {
-			shard = ctx.core.ID
-		}
-		t.ringRecvBatch.ObserveOn(shard, uint64(n))
-		t.ringDepth.Add(-int64(n))
-	}
-	return ok(uint64(n))
-}
-
-// grantBytesForEnclave serves FieldEnclaveGrants: the grants the caller
-// is an endpoint of, in creation order, as grant id[8] ‖ role[8] ‖
-// byte size[8] entries (role 0 = consumer, 1 = producer).
-func (mon *Monitor) grantBytesForEnclave(eid uint64) []byte {
-	type entry struct {
-		seq  uint64
-		id   uint64
-		role uint64
-		size uint64
-	}
-	var entries []entry
-	mon.objMu.RLock()
-	for _, g := range mon.grants {
-		if g.Consumer == eid {
-			entries = append(entries, entry{seq: g.seq, id: g.ID, role: 0, size: g.bytes()})
-		}
-		if g.Producer == eid {
-			entries = append(entries, entry{seq: g.seq, id: g.ID, role: 1, size: g.bytes()})
-		}
-	}
-	mon.objMu.RUnlock()
-	for i := 1; i < len(entries); i++ {
-		for j := i; j > 0 && entries[j-1].seq > entries[j].seq; j-- {
-			entries[j-1], entries[j] = entries[j], entries[j-1]
-		}
-	}
-	out := make([]byte, 0, len(entries)*24)
-	var word [8]byte
-	for _, en := range entries {
-		binary.LittleEndian.PutUint64(word[:], en.id)
-		out = append(out, word[:]...)
-		binary.LittleEndian.PutUint64(word[:], en.role)
-		out = append(out, word[:]...)
-		binary.LittleEndian.PutUint64(word[:], en.size)
-		out = append(out, word[:]...)
-	}
-	return out
+	t.bulkBytes.Add(from, total)
 }

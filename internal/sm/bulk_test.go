@@ -203,3 +203,36 @@ func TestBulkRevokeRacesInFlightSend(t *testing.T) {
 		t.Errorf("refs after revoke = %d", refs)
 	}
 }
+
+// TestBulkSendSeesRefusedRevoke pins the send side of the revoke race
+// at the moment both racers lose: a revoke has published dead but will
+// see this send's in-flight count and roll dead back, so the grant is
+// still live. The send must report ErrRetry — nothing changed, and the
+// grant is not known to be gone — not ErrInvalidValue, and leave the
+// ring depth and the in-flight count as they were. Once dead is rolled
+// back, the same send succeeds.
+func TestBulkSendSeesRefusedRevoke(t *testing.T) {
+	f, ringID, grantID, _, stagePA := bulkFixture(t, 2)
+	stageSG(t, f, stagePA, [2]uint64{0, 4096})
+	f.mon.objMu.RLock()
+	g, r := f.mon.grants[grantID], f.mon.rings[ringID]
+	f.mon.objMu.RUnlock()
+	g.dead.Store(true) // the revoke's publish, before its inflight check
+	before := snapshot(f.mon)
+	if st := f.call(api.CallBulkSend, ringID, stagePA, 1, grantID); st != api.ErrRetry {
+		t.Fatalf("send against a revoke in progress: %v, want ErrRetry", st)
+	}
+	if r.count != 0 || g.inflight.Load() != 0 {
+		t.Fatalf("refused send left depth %d, in-flight %d", r.count, g.inflight.Load())
+	}
+	if !snapshot(f.mon).equal(before) {
+		t.Fatal("refused send changed monitor state")
+	}
+	g.dead.Store(false) // the revoke's rollback
+	if st := f.call(api.CallBulkSend, ringID, stagePA, 1, grantID); st != api.OK {
+		t.Fatalf("retried send: %v, want OK", st)
+	}
+	if r.count != 1 || g.inflight.Load() != 1 {
+		t.Fatalf("sent: depth %d, in-flight %d, want 1 and 1", r.count, g.inflight.Load())
+	}
+}

@@ -201,8 +201,8 @@ var callTable = map[api.Call]callDef{
 		handler: func(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 			return fail(mon.bulkRevoke(req.Args[0]))
 		}},
-	api.CallBulkSend: {name: "bulk_send", domains: domainOS | domainEnclave, handler: hBulkSend},
-	api.CallBulkRecv: {name: "bulk_recv", domains: domainOS | domainEnclave, handler: hBulkRecv},
+	api.CallBulkSend: {name: "bulk_send", domains: domainOS | domainEnclave, handler: hRingSend},
+	api.CallBulkRecv: {name: "bulk_recv", domains: domainOS | domainEnclave, handler: hRingRecv},
 
 	// Snapshot/clone calls (0x30–0x32, ABI minor 1): fork-from-measured-
 	// template lifecycle (DESIGN.md §8).
@@ -257,6 +257,9 @@ func (mon *Monitor) dispatch(req api.Request, ctx *callContext) api.Response {
 		return mon.dispatchCall(req, ctx)
 	}
 	ci := t.call(req.Call)
+	if ctx == nil {
+		return ci.countHost(mon.dispatchCall(req, nil))
+	}
 	if ci == nil {
 		return mon.dispatchCall(req, ctx)
 	}
@@ -268,14 +271,6 @@ func (mon *Monitor) dispatch(req api.Request, ctx *callContext) api.Response {
 	// of definitional zeros would cost atomics and carry no signal
 	// (DESIGN.md §13), and summing the global clock here would only
 	// pick up other cores' concurrent progress.
-	if ctx == nil {
-		resp := mon.dispatchCall(req, ctx)
-		ci.count.Inc(0)
-		if resp.Status == api.ErrRetry {
-			ci.retries.Inc(0)
-		}
-		return resp
-	}
 	shard := ctx.core.ID
 	begin := ctx.core.CPU.Cycles
 	resp := mon.dispatchCall(req, ctx)
@@ -287,16 +282,22 @@ func (mon *Monitor) dispatch(req api.Request, ctx *callContext) api.Response {
 	return resp
 }
 
+// authorized is the one caller-domain check: a host-side request (ctx
+// nil) may only speak for the OS, on a call open to the OS domain; a
+// trap only on a call open to the enclave domain.
+func (def *callDef) authorized(req api.Request, ctx *callContext) bool {
+	if ctx == nil {
+		return req.Caller == api.DomainOS && def.domains&domainOS != 0
+	}
+	return def.domains&domainEnclave != 0
+}
+
 func (mon *Monitor) dispatchCall(req api.Request, ctx *callContext) api.Response {
 	def, known := callTable[req.Call]
 	if !known {
 		return fail(api.ErrNotSupported)
 	}
-	if ctx == nil {
-		if req.Caller != api.DomainOS || def.domains&domainOS == 0 {
-			return fail(api.ErrUnauthorized)
-		}
-	} else if def.domains&domainEnclave == 0 {
+	if !def.authorized(req, ctx) {
 		return fail(api.ErrUnauthorized)
 	}
 	if def.encHandler != nil {
@@ -338,8 +339,7 @@ func (mon *Monitor) DispatchBatch(reqs []api.Request) []api.Response {
 	for i := range reqs {
 		req := reqs[i]
 		def, known := callTable[req.Call]
-		if known && def.encHandler != nil &&
-			req.Caller == api.DomainOS && def.domains&domainOS != 0 {
+		if known && def.encHandler != nil && def.authorized(req, nil) {
 			if held == nil || heldID != req.Args[0] {
 				release()
 				e, st := mon.lookupEnclave(req.Args[0])
@@ -355,11 +355,7 @@ func (mon *Monitor) DispatchBatch(reqs []api.Request) []api.Response {
 				}
 				held, heldID = e, req.Args[0]
 			}
-			if t := mon.tele; t != nil {
-				out[i] = t.observeEnc(mon, def, held, req)
-			} else {
-				out[i] = def.encHandler(mon, held, req)
-			}
+			out[i] = mon.tele.call(req.Call).countHost(def.encHandler(mon, held, req))
 		} else {
 			// Anything else — including unknown or unauthorized calls —
 			// takes the single-call path; the held lock is released
@@ -499,32 +495,24 @@ func hMAC(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 // --- Dual-domain handlers: ctx non-nil means the enclave convention,
 // nil the OS convention ---
 
+// hSendMail: an enclave sends a full MailboxSize message from a1 (a
+// VA), stamped with its identity and measurement. The OS passes a1 = a
+// source PA in OS-owned memory and a2 = length; its message is
+// zero-padded and carries the reserved OS identity and a zero
+// measurement, so no enclave can mistake it for an enclave.
 func hSendMail(mon *Monitor, req api.Request, ctx *callContext) api.Response {
+	sender, meas, n := api.DomainOS, [32]byte{}, req.Args[2]
 	if ctx != nil {
-		e := ctx.enclave
-		msg, okRead := mon.readEnclave(e, req.Args[1], api.MailboxSize)
-		if !okRead {
-			return fail(api.ErrInvalidValue)
-		}
-		return fail(mon.deliverMail(e.ID, e.Measurement, req.Args[0], msg))
+		sender, meas, n = ctx.enclave.ID, ctx.enclave.Measurement, api.MailboxSize
 	}
-	// OS convention: a1 = source PA in OS-owned memory, a2 = length.
-	// The message carries the reserved OS identity and a zero
-	// measurement, so no enclave can mistake it for an enclave.
-	n := req.Args[2]
 	if n > api.MailboxSize {
 		return fail(api.ErrInvalidValue)
 	}
-	padded := make([]byte, api.MailboxSize)
-	if n > 0 {
-		if !mon.osOwnsRange(req.Args[1], n) {
-			return fail(api.ErrInvalidValue)
-		}
-		if err := mon.machine.Mem.ReadBytes(req.Args[1], padded[:n]); err != nil {
-			return fail(api.ErrInvalidValue)
-		}
+	msg := make([]byte, api.MailboxSize)
+	if n > 0 && !mon.copyIn(ctx, req.Args[1], msg[:n]) {
+		return fail(api.ErrInvalidValue)
 	}
-	return fail(mon.deliverMail(api.DomainOS, [32]byte{}, req.Args[0], padded))
+	return fail(mon.deliverMail(sender, meas, req.Args[0], msg))
 }
 
 func hGetField(mon *Monitor, req api.Request, ctx *callContext) api.Response {
@@ -536,20 +524,8 @@ func hGetField(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 	if st != api.OK {
 		return fail(st)
 	}
-	if uint64(len(data)) > req.Args[2] {
+	if uint64(len(data)) > req.Args[2] || !mon.copyOut(ctx, req.Args[1], data) {
 		return fail(api.ErrInvalidValue)
-	}
-	if ctx != nil {
-		if !mon.writeEnclave(caller, req.Args[1], data) {
-			return fail(api.ErrInvalidValue)
-		}
-	} else {
-		if !mon.osOwnsRange(req.Args[1], uint64(len(data))) {
-			return fail(api.ErrInvalidValue)
-		}
-		if err := mon.machine.Mem.WriteBytes(req.Args[1], data); err != nil {
-			return fail(api.ErrInvalidValue)
-		}
 	}
 	return ok(uint64(len(data)))
 }

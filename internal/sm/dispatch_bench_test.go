@@ -63,6 +63,50 @@ func TestDispatchZeroAlloc(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("instrumented Dispatch allocates %.2f objects per call, want 0", avg)
 	}
+
+	// The message path too: an OS-side 8-message send+recv pair, plain
+	// (ring_send + ring_recv) and scatter-gather (bulk_send +
+	// bulk_recv), telemetry off and on. The send stages the batch in a
+	// stack buffer and the recv writes from the ring's reused scratch
+	// records, so neither allocates.
+	const batch = 8
+	for _, tele := range []bool{false, true} {
+		f, ringID, grantID, _, stagePA := bulkFixture(t, 4)
+		if tele {
+			f.mon.SetTelemetry(telemetry.New())
+		}
+		plainPA, sgPA, outPA := stagePA, stagePA+0x1000, stagePA+0x2000
+		stageMsgs(t, f, plainPA, batch, 0x5A)
+		sg := api.EncodeBulkDescs([2]uint64{0, 4096}, [2]uint64{8192, 64})
+		for i := 0; i < batch; i++ {
+			if err := f.m.Mem.WriteBytes(sgPA+uint64(i)*api.RingMsgSize, sg[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pairs := []struct {
+			name       string
+			send, recv api.Request
+		}{
+			{"ring_send+ring_recv",
+				api.OSRequest(api.CallRingSend, ringID, plainPA, batch),
+				api.OSRequest(api.CallRingRecv, ringID, outPA, batch)},
+			{"bulk_send+bulk_recv",
+				api.OSRequest(api.CallBulkSend, ringID, sgPA, batch, grantID),
+				api.OSRequest(api.CallBulkRecv, ringID, outPA, batch, grantID)},
+		}
+		for _, p := range pairs {
+			avg := testing.AllocsPerRun(200, func() {
+				for _, req := range []api.Request{p.send, p.recv} {
+					if resp := f.mon.Dispatch(req); resp.Status != api.OK || resp.Values[0] != batch {
+						t.Fatalf("%s: %v, n=%d", p.name, resp.Status, resp.Values[0])
+					}
+				}
+			})
+			if avg != 0 {
+				t.Errorf("%s (telemetry %v) allocates %.2f objects per pair, want 0", p.name, tele, avg)
+			}
+		}
+	}
 }
 
 // buildReqs is the canonical enclave-build call sequence (create, one

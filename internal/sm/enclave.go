@@ -379,13 +379,8 @@ func (mon *Monitor) initEnclaveLocked(e *Enclave) api.Error {
 // OS-owned physical address (CallEnclaveStatus). The caller holds e's
 // transaction lock.
 func (mon *Monitor) enclaveStatusLocked(e *Enclave, measOutPA uint64) (uint64, api.Error) {
-	if measOutPA != 0 {
-		if !mon.osOwnsRange(measOutPA, uint64(len(e.Measurement))) {
-			return 0, api.ErrInvalidValue
-		}
-		if err := mon.machine.Mem.WriteBytes(measOutPA, e.Measurement[:]); err != nil {
-			return 0, api.ErrInvalidValue
-		}
+	if measOutPA != 0 && !mon.copyOut(nil, measOutPA, e.Measurement[:]) {
+		return 0, api.ErrInvalidValue
 	}
 	return uint64(e.State), api.OK
 }
@@ -420,32 +415,27 @@ func (mon *Monitor) deleteEnclave(eid uint64) api.Error {
 	if e.snap != nil {
 		return api.ErrInvalidState // live snapshot: release it first
 	}
-	// A live mailbox-ring endpoint blocks deletion, like a live
+	// A live ring or grant endpoint blocks deletion, like a live
 	// snapshot: a freed eid could otherwise be recreated and inherit
 	// the dead enclave's rings — including undelivered messages meant
-	// for the previous tenant. The OS destroys the rings first.
-	// Endpoint identities are immutable after ring creation, and
-	// ringCreate registers only while holding the endpoint enclave's
-	// lock (held here for the whole transaction), so the scan cannot
-	// race a new attachment.
+	// for the previous tenant — and a revoke relies on its endpoints
+	// existing. The OS destroys the rings and revokes the grants first.
+	// Endpoint identities are immutable after creation, and createPair
+	// registers only while holding the endpoint enclave's lock (held
+	// here for the whole transaction), so the scan cannot race a new
+	// attachment.
+	endpoint := false
 	mon.objMu.RLock()
 	for _, r := range mon.rings {
-		if r.Producer == eid || r.Consumer == eid {
-			mon.objMu.RUnlock()
-			return api.ErrInvalidState
-		}
+		endpoint = endpoint || r.isEndpoint(eid)
 	}
-	// Bulk-grant endpoints block deletion for the same reason (and so a
-	// revoke can rely on its endpoints existing); bulkGrant registers
-	// only while holding the endpoint enclave's lock, so the scan
-	// cannot race a new attachment either.
 	for _, g := range mon.grants {
-		if g.Producer == eid || g.Consumer == eid {
-			mon.objMu.RUnlock()
-			return api.ErrInvalidState
-		}
+		endpoint = endpoint || g.isEndpoint(eid)
 	}
 	mon.objMu.RUnlock()
+	if endpoint {
+		return api.ErrInvalidState
+	}
 	var snap *Snapshot
 	if e.CloneOf != 0 {
 		mon.objMu.RLock()

@@ -127,9 +127,8 @@ type Monitor struct {
 	threads   map[uint64]*Thread
 	snapshots map[uint64]*Snapshot
 	rings     map[uint64]*Ring
-	ringSeq   uint64 // ring creation order (under objMu)
 	grants    map[uint64]*Grant
-	grantSeq  uint64 // grant creation order (under objMu)
+	pairSeq   uint64 // ring and grant creation order (under objMu)
 
 	regions []regionMeta
 	cores   []coreSlot

@@ -25,23 +25,37 @@ package sm
 
 import (
 	"encoding/binary"
+	"sort"
 	"sync"
 
 	"sanctorum/internal/hw/machine"
 	"sanctorum/internal/sm/api"
 )
 
+// endpointPair is what rings and bulk grants have in common: an id
+// (an SM metadata page) and one producer and one consumer protection
+// domain fixed at creation. createPair registers both kinds and
+// pairBytes lists both to their endpoint enclaves.
+type endpointPair struct {
+	ID       uint64
+	Producer uint64 // api.DomainOS or an eid
+	Consumer uint64
+	seq      uint64 // creation order, for FieldEnclaveRings/Grants
+}
+
+// isEndpoint reports whether who (DomainOS or an eid) is one of the
+// pair's fixed endpoints.
+func (p *endpointPair) isEndpoint(who uint64) bool {
+	return who == p.Producer || who == p.Consumer
+}
+
 // Ring is the monitor's metadata for one mailbox ring. The mutex is
 // the ring's §V-A transaction lock, taken with TryLock; contended
 // calls fail with ErrRetry having changed nothing.
 type Ring struct {
 	mu sync.Mutex
-
-	ID       uint64
-	Producer uint64 // api.DomainOS or an eid
-	Consumer uint64
-	seq      uint64 // creation order, for FieldEnclaveRings
-	dead     bool   // set by destroy under mu; a racing lookup re-checks
+	endpointPair
+	dead bool // set by destroy under mu; a racing lookup re-checks
 
 	slots []ringMsg
 	head  int // oldest undelivered message
@@ -67,8 +81,7 @@ type Ring struct {
 // ringMsg is one queued message with its monitor-attested stamp. grant
 // is zero for a plain message and the grant id for a scatter-gather
 // descriptor message (bulk.go) — the two are never mixed on delivery:
-// plain recv refuses a descriptor head, bulk recv drains only its own
-// grant's run.
+// every recv drains only the head run stamped with its own grant.
 type ringMsg struct {
 	sender  uint64
 	meas    [32]byte
@@ -80,10 +93,7 @@ type ringMsg struct {
 // stamped with the given grant id (zero = plain), up to max. Caller
 // holds r.mu.
 func (r *Ring) headRunLocked(grant uint64, max int) int {
-	n := max
-	if n > r.count {
-		n = r.count
-	}
+	n := min(max, r.count)
 	for i := 0; i < n; i++ {
 		if r.slots[(r.head+i)%len(r.slots)].grant != grant {
 			return i
@@ -153,26 +163,20 @@ func (mon *Monitor) postWake(from int, ringID, eid, tid uint64) {
 	mon.machine.RunOn(0, from, func(*machine.Core) { sink(ringID, eid, tid) })
 }
 
-// ringCreate implements CallRingCreate (OS-domain): register a ring
-// between a fixed producer and consumer. Endpoints are DomainOS or
-// existing enclaves; the reserved SM identity is refused. The ring id
-// is claimed exactly like enclave, thread and snapshot ids — a free
-// page inside an SM metadata region. Each enclave endpoint is held
-// under its transaction lock while the ring registers, which — paired
-// with deleteEnclave's endpoint guard — excludes the race where a
-// ring attaches to an enclave mid-deletion and survives it: either
-// the create sees the enclave and the delete then refuses, or the
-// delete wins and the create fails (retry or unknown id).
-func (mon *Monitor) ringCreate(ringID, producer, consumer, capacity uint64) api.Error {
-	if capacity == 0 || capacity > api.RingMaxCapacity {
-		return api.ErrInvalidValue
-	}
-	endpoints := []uint64{producer}
-	if consumer != producer {
-		endpoints = append(endpoints, consumer)
-	}
-	for _, who := range endpoints {
-		if who == api.DomainOS {
+// createPair registers a ring or grant between a fixed producer and
+// consumer. Endpoints are DomainOS or existing enclaves; the reserved
+// SM identity is refused. The id is claimed exactly like enclave,
+// thread and snapshot ids — a free page inside an SM metadata region —
+// and add installs the object under objMu once the id is claimed. Each
+// enclave endpoint is held under its transaction lock while the object
+// registers, which — paired with deleteEnclave's endpoint guard —
+// excludes the race where a ring or grant attaches to an enclave
+// mid-deletion and survives it: either the create sees the enclave and
+// the delete then refuses, or the delete wins and the create fails
+// (retry or unknown id).
+func (mon *Monitor) createPair(id, producer, consumer uint64, add func(p endpointPair)) api.Error {
+	for i, who := range [2]uint64{producer, consumer} {
+		if who == api.DomainOS || (i == 1 && who == producer) {
 			continue
 		}
 		e, st := mon.lookupEnclave(who)
@@ -183,18 +187,23 @@ func (mon *Monitor) ringCreate(ringID, producer, consumer, capacity uint64) api.
 	}
 	mon.objMu.Lock()
 	defer mon.objMu.Unlock()
-	if st := mon.allocMetaPage(ringID); st != api.OK {
+	if st := mon.allocMetaPage(id); st != api.OK {
 		return st
 	}
-	mon.ringSeq++
-	mon.rings[ringID] = &Ring{
-		ID:       ringID,
-		Producer: producer,
-		Consumer: consumer,
-		seq:      mon.ringSeq,
-		slots:    make([]ringMsg, capacity),
-	}
+	mon.pairSeq++
+	add(endpointPair{ID: id, Producer: producer, Consumer: consumer, seq: mon.pairSeq})
 	return api.OK
+}
+
+// ringCreate implements CallRingCreate (OS-domain): register a ring of
+// the given capacity through createPair.
+func (mon *Monitor) ringCreate(ringID, producer, consumer, capacity uint64) api.Error {
+	if capacity == 0 || capacity > api.RingMaxCapacity {
+		return api.ErrInvalidValue
+	}
+	return mon.createPair(ringID, producer, consumer, func(p endpointPair) {
+		mon.rings[ringID] = &Ring{endpointPair: p, slots: make([]ringMsg, capacity)}
+	})
 }
 
 // ringDestroy implements CallRingDestroy (OS-domain): unregister the
@@ -241,17 +250,12 @@ func (mon *Monitor) ringDestroy(ringID uint64) api.Error {
 	return api.OK
 }
 
-// ringEnqueue appends up to count messages to the ring under its
-// transaction lock, waking a parked consumer. fill(i, dst) copies
-// message i's payload into a free slot — straight from the staged
-// source, so batched sends allocate nothing per message; it runs with
-// the lock held but only touches slots not yet published (a failure
-// aborts before the count advances). sender and meas are the
-// monitor-attested stamp; grant is zero for plain messages and the
-// grant id for scatter-gather descriptors (bulk.go). Returns the count
-// actually enqueued.
-func (mon *Monitor) ringEnqueue(from int, ringID, sender uint64, meas [32]byte, grant uint64, count int,
-	fill func(i int, dst []byte) api.Error) (uint64, api.Error) {
+// ringEnqueue appends the staged messages (RingMsgSize bytes each) to
+// the ring under its transaction lock, as many as fit, waking a parked
+// consumer. sender and meas are the monitor-attested stamp; grant is
+// zero for plain messages and the grant id for scatter-gather
+// descriptors (bulk.go). Returns the count actually enqueued.
+func (mon *Monitor) ringEnqueue(from int, ringID, sender uint64, meas [32]byte, grant uint64, msgs []byte) (int, api.Error) {
 	r, st := mon.lookupRing(ringID)
 	if st != api.OK {
 		return 0, st
@@ -260,24 +264,15 @@ func (mon *Monitor) ringEnqueue(from int, ringID, sender uint64, meas [32]byte, 
 		r.mu.Unlock()
 		return 0, api.ErrUnauthorized
 	}
-	space := len(r.slots) - r.count
-	if space == 0 {
+	n := min(len(msgs)/api.RingMsgSize, len(r.slots)-r.count)
+	if n == 0 {
 		r.mu.Unlock()
-		return 0, api.ErrInvalidState
-	}
-	n := count
-	if n > space {
-		n = space
+		return 0, api.ErrInvalidState // full
 	}
 	for i := 0; i < n; i++ {
 		slot := &r.slots[(r.head+r.count+i)%len(r.slots)]
-		if st := fill(i, slot.payload[:]); st != api.OK {
-			r.mu.Unlock()
-			return 0, st
-		}
-		slot.sender = sender
-		slot.meas = meas
-		slot.grant = grant
+		copy(slot.payload[:], msgs[i*api.RingMsgSize:])
+		slot.sender, slot.meas, slot.grant = sender, meas, grant
 	}
 	r.count += n
 	weid, wtid := r.takeWaiterLocked()
@@ -294,7 +289,7 @@ func (mon *Monitor) ringEnqueue(from int, ringID, sender uint64, meas [32]byte, 
 	if wtid != 0 {
 		mon.postWake(from, ringID, weid, wtid)
 	}
-	return uint64(n), api.OK
+	return n, api.OK
 }
 
 // ringRecords serializes the ring's oldest n messages as recv records
@@ -321,38 +316,44 @@ func (r *Ring) popLocked(n int) {
 	r.count -= n
 }
 
-// ringBytesForEnclave serves FieldEnclaveRings: the rings the caller
-// is an endpoint of, in creation order, as ring id[8] ‖ role[8]
-// entries (role 0 = consumer, 1 = producer).
-func (mon *Monitor) ringBytesForEnclave(eid uint64) []byte {
+// pairBytes serves FieldEnclaveRings (grants false) and
+// FieldEnclaveGrants (grants true): the rings or grants eid is an
+// endpoint of, in creation order, as id[8] ‖ role[8] entries (role 0 =
+// consumer, 1 = producer), a grant's entry followed by its byte
+// size[8].
+func (mon *Monitor) pairBytes(eid uint64, grants bool) []byte {
 	type entry struct {
-		seq  uint64
-		id   uint64
-		role uint64
+		endpointPair
+		role, size uint64
 	}
 	var entries []entry
-	mon.objMu.RLock()
-	for _, r := range mon.rings {
-		if r.Consumer == eid {
-			entries = append(entries, entry{seq: r.seq, id: r.ID, role: 0})
+	add := func(p endpointPair, size uint64) {
+		if p.Consumer == eid {
+			entries = append(entries, entry{p, 0, size})
 		}
-		if r.Producer == eid {
-			entries = append(entries, entry{seq: r.seq, id: r.ID, role: 1})
+		if p.Producer == eid {
+			entries = append(entries, entry{p, 1, size})
+		}
+	}
+	mon.objMu.RLock()
+	if grants {
+		for _, g := range mon.grants {
+			add(g.endpointPair, g.bytes())
+		}
+	} else {
+		for _, r := range mon.rings {
+			add(r.endpointPair, 0)
 		}
 	}
 	mon.objMu.RUnlock()
-	for i := 1; i < len(entries); i++ {
-		for j := i; j > 0 && entries[j-1].seq > entries[j].seq; j-- {
-			entries[j-1], entries[j] = entries[j], entries[j-1]
-		}
-	}
-	out := make([]byte, 0, len(entries)*16)
-	var word [8]byte
+	sort.SliceStable(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
+	var out []byte
 	for _, en := range entries {
-		binary.LittleEndian.PutUint64(word[:], en.id)
-		out = append(out, word[:]...)
-		binary.LittleEndian.PutUint64(word[:], en.role)
-		out = append(out, word[:]...)
+		out = binary.LittleEndian.AppendUint64(out, en.ID)
+		out = binary.LittleEndian.AppendUint64(out, en.role)
+		if grants {
+			out = binary.LittleEndian.AppendUint64(out, en.size)
+		}
 	}
 	return out
 }
@@ -367,53 +368,58 @@ func batchLen(count uint64) (int, bool) {
 	return int(count), true
 }
 
-// hRingSend is the dual-domain send handler. Enclave payloads are
-// read through the enclave's tables before the ring transaction (the
-// read has no side effects, so a contended ring still means no state
-// changed); OS payloads are range-checked up front and then copied
-// from physical memory straight into the slots — no intermediate
-// buffer on the hot batched path.
+// hRingSend is the dual-domain send handler of ring_send and, with a
+// grant, bulk_send. The batch is staged from caller memory into a
+// stack buffer before the ring transaction: the read has no side
+// effects, so a contended ring still means no state changed, and a
+// send allocates nothing. bulk_send wraps a short grant prelude around
+// the same path: the grant must exist before staging, admit (bulk.go)
+// checks the staged batch against it, and settle releases what the
+// ring did not take.
 func hRingSend(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 	n, okCount := batchLen(req.Args[2])
 	if !okCount {
 		return fail(api.ErrInvalidValue)
 	}
-	var sender uint64
-	var meas [32]byte
-	var fill func(i int, dst []byte) api.Error
-	from := machine.NoHart
-	if ctx != nil {
-		from = ctx.core.ID
-		sender, meas = ctx.enclave.ID, ctx.enclave.Measurement
-		msgs, okRead := mon.readEnclave(ctx.enclave, req.Args[1], n*api.RingMsgSize)
-		if !okRead {
+	var g *Grant
+	if req.Call == api.CallBulkSend {
+		if g = mon.peekGrant(req.Args[3]); g == nil {
 			return fail(api.ErrInvalidValue)
-		}
-		fill = func(i int, dst []byte) api.Error {
-			copy(dst, msgs[i*api.RingMsgSize:])
-			return api.OK
-		}
-	} else {
-		sender = api.DomainOS
-		srcPA := req.Args[1]
-		if !mon.osOwnsRange(srcPA, uint64(n)*api.RingMsgSize) {
-			return fail(api.ErrInvalidValue)
-		}
-		fill = func(i int, dst []byte) api.Error {
-			if err := mon.machine.Mem.ReadBytes(srcPA+uint64(i)*api.RingMsgSize, dst); err != nil {
-				return api.ErrInvalidValue
-			}
-			return api.OK
 		}
 	}
-	sent, st := mon.ringEnqueue(from, req.Args[0], sender, meas, 0, n, fill)
+	sender, meas, from := api.DomainOS, [32]byte{}, machine.NoHart
+	if ctx != nil {
+		sender, meas, from = ctx.enclave.ID, ctx.enclave.Measurement, ctx.core.ID
+	}
+	var staged [api.RingMaxBatch * api.RingMsgSize]byte
+	msgs := staged[:n*api.RingMsgSize]
+	if !mon.copyIn(ctx, req.Args[1], msgs) {
+		return fail(api.ErrInvalidValue)
+	}
+	var grant uint64
+	if g != nil {
+		if st := g.admit(sender, msgs); st != api.OK {
+			return fail(st)
+		}
+		grant = g.ID
+	}
+	sent, st := mon.ringEnqueue(from, req.Args[0], sender, meas, grant, msgs)
+	if g != nil {
+		g.settle(mon.tele, from, msgs, sent)
+	}
 	if st != api.OK {
 		return fail(st)
 	}
-	return ok(sent)
+	return ok(uint64(sent))
 }
 
-// hRingRecv is the dual-domain recv handler. The records are written
+// hRingRecv is the dual-domain recv handler of ring_recv and, with a
+// grant, bulk_recv. It drains only the run at the ring head stamped
+// with its grant (zero for ring_recv): a descriptor head must go
+// through bulk_recv naming its grant, which releases the in-flight
+// pins — a plain recv draining it would strand the grant
+// un-revocable. bulk_recv's prelude requires the grant to exist and
+// the caller to be one of its endpoints. The records are written
 // while the ring transaction holds the lock and popped only after the
 // copy-out succeeded, so a recv into an invalid buffer consumes
 // nothing.
@@ -422,9 +428,20 @@ func hRingRecv(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 	if !okCount {
 		return fail(api.ErrInvalidValue)
 	}
-	var caller uint64 = api.DomainOS
+	caller, from := api.DomainOS, machine.NoHart
 	if ctx != nil {
-		caller = ctx.enclave.ID
+		caller, from = ctx.enclave.ID, ctx.core.ID
+	}
+	var g *Grant
+	var grant uint64
+	if req.Call == api.CallBulkRecv {
+		if g = mon.peekGrant(req.Args[3]); g == nil {
+			return fail(api.ErrInvalidValue)
+		}
+		if !g.isEndpoint(caller) {
+			return fail(api.ErrUnauthorized)
+		}
+		grant = g.ID
 	}
 	r, st := mon.lookupRing(req.Args[0])
 	if st != api.OK {
@@ -437,36 +454,22 @@ func hRingRecv(mon *Monitor, req api.Request, ctx *callContext) api.Response {
 	if r.count == 0 {
 		return fail(api.ErrInvalidState)
 	}
-	// A scatter-gather descriptor head (bulk.go) must go through
-	// bulk_recv, which knows the grant and releases the in-flight pins;
-	// a plain recv draining it would strand the grant un-revocable.
-	n := r.headRunLocked(0, max)
+	n := r.headRunLocked(grant, max)
 	if n == 0 {
 		return fail(api.ErrInvalidValue)
 	}
-	out := r.ringRecords(n)
-	if ctx != nil {
-		// Writing into a clone may resolve a COW alias; the enclave
-		// transaction lock it takes is never held while anyone waits on
-		// a ring lock, so the order ring → enclave cannot deadlock.
-		if !mon.writeEnclave(ctx.enclave, req.Args[1], out) {
-			return fail(api.ErrInvalidValue)
-		}
-	} else {
-		if !mon.osOwnsRange(req.Args[1], uint64(len(out))) {
-			return fail(api.ErrInvalidValue)
-		}
-		if err := mon.machine.Mem.WriteBytes(req.Args[1], out); err != nil {
-			return fail(api.ErrInvalidValue)
-		}
+	// Writing into a clone may resolve a COW alias; the enclave
+	// transaction lock it takes is never held while anyone waits on a
+	// ring lock, so the order ring → enclave cannot deadlock.
+	if !mon.copyOut(ctx, req.Args[1], r.ringRecords(n)) {
+		return fail(api.ErrInvalidValue)
 	}
 	r.popLocked(n)
+	if g != nil {
+		g.inflight.Add(-int64(n))
+	}
 	if t := mon.tele; t != nil {
-		shard := 0
-		if ctx != nil {
-			shard = ctx.core.ID
-		}
-		t.ringRecvBatch.ObserveOn(shard, uint64(n))
+		t.ringRecvBatch.ObserveOn(from, uint64(n))
 		t.ringDepth.Add(-int64(n))
 	}
 	return ok(uint64(n))

@@ -307,3 +307,46 @@ func TestRingWakeSink(t *testing.T) {
 		t.Fatalf("recreate on freed id: %v", st)
 	}
 }
+
+// TestEndpointListingBytes pins the FieldEnclaveRings and
+// FieldEnclaveGrants encodings byte for byte: creation order (not id
+// order), a consumer entry before a producer entry when the enclave is
+// both, and a grant's byte size after its role.
+func TestEndpointListingBytes(t *testing.T) {
+	w := newPrecWorld(t, true) // rings 13 (eid↔eid), grant 15 (eid↔eid, 4 pages)
+	f, eid := w.f, w.eid
+	for _, c := range [][3]uint64{{f.metaPage(11), eid, api.DomainOS}, {f.metaPage(9), api.DomainOS, eid}} {
+		if st := f.call(api.CallRingCreate, c[0], c[1], c[2], 2); st != api.OK {
+			t.Fatalf("ring_create: %v", st)
+		}
+	}
+	if st := f.call(api.CallBulkGrant, f.metaPage(10), f.m.DRAM.Base(4), 2, api.DomainOS, eid); st != api.OK {
+		t.Fatalf("bulk_grant: %v", st)
+	}
+	enc := func(words ...uint64) []byte {
+		var out []byte
+		for _, v := range words {
+			out = binary.LittleEndian.AppendUint64(out, v)
+		}
+		return out
+	}
+	want := map[api.Field][]byte{
+		api.FieldEnclaveRings: enc(
+			f.metaPage(13), 0, f.metaPage(13), 1,
+			f.metaPage(11), 1,
+			f.metaPage(9), 0),
+		api.FieldEnclaveGrants: enc(
+			f.metaPage(15), 0, 4*4096, f.metaPage(15), 1, 4*4096,
+			f.metaPage(10), 0, 2*4096),
+	}
+	for field, w := range want {
+		got, st := f.mon.fieldBytes(field, f.mon.enclaves[eid])
+		if st != api.OK || !bytes.Equal(got, w) {
+			t.Errorf("field %d: %v\n got %x\nwant %x", field, st, got, w)
+		}
+	}
+	// The OS has no enclave identity to list for.
+	if _, st := f.mon.fieldBytes(api.FieldEnclaveRings, nil); st != api.ErrUnauthorized {
+		t.Errorf("OS listing: %v, want ErrUnauthorized", st)
+	}
+}

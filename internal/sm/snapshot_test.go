@@ -109,7 +109,8 @@ func TestSnapshotCloneLifecycle(t *testing.T) {
 	f.mon.objMu.RLock()
 	ce := f.mon.enclaves[clone]
 	f.mon.objMu.RUnlock()
-	if got, ok := f.mon.readEnclave(ce, testEvBase+0x1000, 4); !ok || !bytes.Equal(got, []byte{0xDA, 0xDA, 0xDA, 0xDA}) {
+	got := make([]byte, 4)
+	if ok := f.mon.readEnclave(ce, testEvBase+0x1000, got); !ok || !bytes.Equal(got, []byte{0xDA, 0xDA, 0xDA, 0xDA}) {
 		t.Fatalf("clone read of aliased data page: %v %x", ok, got)
 	}
 	// Releasing the snapshot with a live clone must fail.

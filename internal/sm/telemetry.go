@@ -38,12 +38,28 @@ type callInstr struct {
 	cycles  *telemetry.Histogram
 }
 
-// call returns the instruments for c, nil for calls outside the table.
+// call returns the instruments for c, nil when telemetry is disabled
+// or c is outside the table.
 func (tl *monTelemetry) call(c api.Call) *callInstr {
-	if i := int(c); i >= 0 && i < len(tl.calls) {
+	if i := int(c); tl != nil && i >= 0 && i < len(tl.calls) {
 		return tl.calls[i]
 	}
 	return nil
+}
+
+// countHost records one host-side call — a lone Dispatch or a batched
+// enclave handler — and passes its response through. No core retires
+// cycles during a host-side call, so it counts calls and ErrRetry but
+// feeds no definitional zeros into the cycle histogram. A nil ci
+// (telemetry disabled, or an unknown call) records nothing.
+func (ci *callInstr) countHost(resp api.Response) api.Response {
+	if ci != nil {
+		ci.count.Inc(0)
+		if resp.Status == api.ErrRetry {
+			ci.retries.Inc(0)
+		}
+	}
+	return resp
 }
 
 // SetTelemetry instruments the monitor against reg: every dispatch-
@@ -81,22 +97,4 @@ func (mon *Monitor) SetTelemetry(reg *telemetry.Registry) {
 	tl.bulkGrants = reg.Gauge("sm.bulk.grants")
 	tl.bulkDescs = reg.Histogram("sm.bulk.descs")
 	mon.tele = tl
-}
-
-// observeEnc wraps a batched enclave-handler invocation with the same
-// per-call instruments the single-call path records.
-func (tl *monTelemetry) observeEnc(mon *Monitor, def callDef, held *Enclave, req api.Request) api.Response {
-	ci := tl.call(req.Call)
-	if ci == nil {
-		return def.encHandler(mon, held, req)
-	}
-	// Batched enclave handlers run host-side: no core retires cycles
-	// during the call, so — like host-side dispatch — they count but
-	// feed no definitional zeros into the cycle histogram.
-	resp := def.encHandler(mon, held, req)
-	ci.count.Inc(0)
-	if resp.Status == api.ErrRetry {
-		ci.retries.Inc(0)
-	}
-	return resp
 }

@@ -172,27 +172,40 @@ func (mon *Monitor) enclaveVAtoPA(e *Enclave, va uint64, acc pt.Access) (uint64,
 	return res.PA, true
 }
 
-// readEnclave copies n bytes out of enclave memory at va.
-func (mon *Monitor) readEnclave(e *Enclave, va uint64, n int) ([]byte, bool) {
-	out := make([]byte, 0, n)
-	for n > 0 {
+// copyIn fills dst from the caller's memory at addr: the enclave's
+// virtual address space, through its own tables, for an enclave caller
+// (ctx non-nil), and OS-owned physical memory for the OS (ctx nil).
+func (mon *Monitor) copyIn(ctx *callContext, addr uint64, dst []byte) bool {
+	if ctx != nil {
+		return mon.readEnclave(ctx.enclave, addr, dst)
+	}
+	return mon.osOwnsRange(addr, uint64(len(dst))) && mon.machine.Mem.ReadBytes(addr, dst) == nil
+}
+
+// copyOut writes src to the caller's memory at addr, in the caller
+// domain's address space as for copyIn.
+func (mon *Monitor) copyOut(ctx *callContext, addr uint64, src []byte) bool {
+	if ctx != nil {
+		return mon.writeEnclave(ctx.enclave, addr, src)
+	}
+	return mon.osOwnsRange(addr, uint64(len(src))) && mon.machine.Mem.WriteBytes(addr, src) == nil
+}
+
+// readEnclave fills dst from enclave memory at va.
+func (mon *Monitor) readEnclave(e *Enclave, va uint64, dst []byte) bool {
+	for len(dst) > 0 {
 		pa, ok := mon.enclaveVAtoPA(e, va, pt.Load)
 		if !ok {
-			return nil, false
+			return false
 		}
-		chunk := int(mem.PageSize - pa&mem.PageMask)
-		if chunk > n {
-			chunk = n
+		chunk := min(int(mem.PageSize-pa&mem.PageMask), len(dst))
+		if err := mon.machine.Mem.ReadBytes(pa, dst[:chunk]); err != nil {
+			return false
 		}
-		buf := make([]byte, chunk)
-		if err := mon.machine.Mem.ReadBytes(pa, buf); err != nil {
-			return nil, false
-		}
-		out = append(out, buf...)
+		dst = dst[chunk:]
 		va += uint64(chunk)
-		n -= chunk
 	}
-	return out, true
+	return true
 }
 
 // writeEnclave copies data into enclave memory at va. A destination
@@ -212,10 +225,7 @@ func (mon *Monitor) writeEnclave(e *Enclave, va uint64, data []byte) bool {
 				return false
 			}
 		}
-		chunk := int(mem.PageSize - pa&mem.PageMask)
-		if chunk > len(data) {
-			chunk = len(data)
-		}
+		chunk := min(int(mem.PageSize-pa&mem.PageMask), len(data))
 		if err := mon.machine.Mem.WriteBytes(pa, data[:chunk]); err != nil {
 			return false
 		}
